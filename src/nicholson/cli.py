@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    TASKS,
     ConfigError,
     RunConfig,
     echo_lines,
@@ -302,14 +303,13 @@ def _sweep_row(model: ModelParams, r: float, r_cap: float) -> str:
     sol = continue_hopf(model.with_r(r), r, r_cap=r_cap)
     thresholds = hopf_thresholds(sol, n_max=0)
     integral = nondegeneracy_integral(sol, 0)
-    crossing = transversality(sol, 0)
     report = normal_form_report(sol, 0)
     cells = [
         f"{r:.12g}", f"{1.0 / r:.12g}", f"{sol.theta:.12g}",
         f"{sol.omega:.12g}", f"{sol.beta:.12g}",
         f"{thresholds.taus[0]:.12g}", f"{thresholds.taus_hat[0]:.12g}",
         f"{integral.real:.12g}", f"{integral.imag:.12g}",
-        f"{crossing.real / r**2:.12g}", f"{report.c1.real:.12g}", "OK",
+        f"{report.dmu.real / r**2:.12g}", f"{report.c1.real:.12g}", "OK",
     ]
     return ",".join(cells)
 
@@ -426,6 +426,11 @@ def run_reproduce(figure: str, out: Path, n_points: int = 301) -> tuple[list[str
 
 def run_task(config: RunConfig, out_dir: str) -> int:
     """Execute one configured task; returns the process exit code."""
+    unread = sorted(set(config.options) - set(TASKS[config.task]))
+    if unread:
+        raise ConfigError(
+            f"task {config.task!r} does not read the task keys {unread}"
+        )
     out = _prepare_out(out_dir)
     summary, files = _TASK_RUNNERS[config.task](config, out)
     _finish_run(out, echo_lines(config), summary, files)
@@ -480,6 +485,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
+            ignored = [flag for flag, value in
+                       (("--config", args.config), ("--set", args.set)) if value]
+            if ignored:
+                raise ConfigError(
+                    "reproduce runs a built-in parameter set and takes no "
+                    + " or ".join(ignored)
+                )
             out = _prepare_out(args.out or f"reproduce-{args.figure}-out")
             summary, files = run_reproduce(
                 args.figure, out, n_points=args.grid or 301

@@ -34,7 +34,15 @@ from dataclasses import dataclass, field
 from .grid import Grid1D
 from .model import CoefficientSpec, ModelParams, build_coefficients
 
-TASKS = ("steady", "hopf", "normalform", "simulate", "average-dde", "sweep")
+# Each task and the [task] keys it reads besides ``name``.
+TASKS = {
+    "steady": (),
+    "hopf": ("n_max", "r_cap"),
+    "normalform": ("n_max", "r_cap"),
+    "simulate": ("t_end", "dt", "tail_fraction", "snapshot_stride", "history"),
+    "average-dde": ("tau_check", "t_end", "dt", "tail_fraction", "history"),
+    "sweep": ("r_list", "r_cap"),
+}
 
 
 class ConfigError(ValueError):

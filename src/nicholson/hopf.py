@@ -25,6 +25,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import bmat, csc_matrix, diags
+from scipy.sparse.linalg import splu
 
 from .grid import Grid1D
 from .model import CoefficientField, ModelParams, eval_nonlinearity
@@ -181,7 +183,8 @@ def solve_poisson_meanzero(
         [A  1] [z     ]   [rhs]
         [w  0] [lambda] = [0  ]
 
-    which is nonsingular.
+    which is nonsingular; the bordered matrix is sparse-LU factored as a
+    whole.
 
     Raises
     ------
@@ -203,15 +206,14 @@ def solve_poisson_meanzero(
             f"rhs has quadrature mean {abs(mean):.3e} (relative "
             f"{abs(mean) / scale:.3e}); the Neumann problem is unsolvable"
         )
-    n = grid.n_points
-    bordered = np.zeros((n + 1, n + 1), dtype=complex)
-    bordered[:n, :n] = laplacian.toarray()
-    bordered[:n, n] = 1.0
-    bordered[n, :n] = grid.weights
-    stacked = np.zeros(n + 1, dtype=complex)
-    stacked[:n] = rhs - mean
-    solution = np.linalg.solve(bordered, stacked)
-    return solution[:n]
+    solution = _bordered_solve(
+        laplacian.sparse(),
+        np.ones((grid.n_points, 1)),
+        grid.weights[np.newaxis, :],
+        np.zeros((1, 1)),
+        np.append(rhs - mean, 0.0),
+    )
+    return solution[:-1]
 
 
 def limit_hopf_data(coeffs: CoefficientField, grid: Grid1D) -> LimitHopfData:
@@ -299,8 +301,34 @@ class _HopfNewtonFailure(RuntimeError):
     pass
 
 
+def _bordered_solve(core, cols, rows, corner, rhs):
+    """Solve [[core, cols], [rows, corner]] x = rhs by one sparse LU.
+
+    ``core`` is a real sparse square matrix, ``cols``, ``rows`` and
+    ``corner`` the dense real border blocks.  The whole bordered matrix is
+    factored: the core may itself be singular (the Hopf z-block is, at the
+    solution), so it is never eliminated on its own.  A complex ``rhs`` is
+    solved as two real columns.
+    """
+    matrix = bmat(
+        [[core, csc_matrix(cols)], [csc_matrix(rows), csc_matrix(corner)]],
+        format="csc",
+    )
+    try:
+        lu = splu(matrix)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise _HopfNewtonFailure(str(exc)) from None
+    if np.iscomplexobj(rhs):
+        solution = lu.solve(np.column_stack([rhs.real, rhs.imag]))
+        return solution[:, 0] + 1j * solution[:, 1]
+    return lu.solve(rhs)
+
+
 def _hopf_residual(state, model, u, laplacian):
-    """Residual pieces (g1, g2, mean) of the crossing system."""
+    """Stacked real residual (g1, g2, mean), its norm, coupling and psi.
+
+    The norm is max(|g1|, |g2|, |mean|).
+    """
     z, beta, omega, theta = state
     coeffs = model.coeffs
     c0 = coeffs.c0
@@ -315,7 +343,9 @@ def _hopf_residual(state, model, u, laplacian):
     norm_sq = float(weights @ (z.real**2 + z.imag**2))
     g2 = (beta * beta - 1.0) * c0 * c0 * model.grid.length + model.r**2 * norm_sq
     mean = weights @ z
-    return g1, g2, mean, coupling, psi
+    residual = np.concatenate([g1.real, g1.imag, [g2, mean.real, mean.imag]])
+    res_norm = max(float(np.abs(g1).max()), abs(g2), abs(mean))
+    return residual, res_norm, coupling, psi
 
 
 def _hopf_newton(
@@ -323,7 +353,6 @@ def _hopf_newton(
     model: ModelParams,
     u: np.ndarray,
     laplacian: DiscreteLaplacian,
-    dense_laplacian: np.ndarray,
     tol: float = 1e-12,
     accept_tol: float = 1e-10,
     max_iter: int = 30,
@@ -331,7 +360,9 @@ def _hopf_newton(
     """Newton correction of (z, beta, omega, theta) at fixed r.
 
     Solves the real bordered system: 2n rows for g1, one for the
-    normalization g2 and two pinning the quadrature mean of z to zero.
+    normalization g2 and two pinning the quadrature mean of z to zero.  Its
+    core is the sparse 2n x 2n z-block; the bordered matrix is sparse-LU
+    factored as a whole by :func:`_bordered_solve`.
     """
     z, beta, omega, theta = state
     z = np.array(z, dtype=complex)
@@ -342,55 +373,40 @@ def _hopf_newton(
     fprime = eval_nonlinearity(u, order=1)
     best = math.inf
     for _ in range(max_iter):
-        g1, g2, mean, coupling, psi = _hopf_residual(
+        residual, res_norm, coupling, psi = _hopf_residual(
             (z, beta, omega, theta), model, u, laplacian
         )
-        res_norm = max(float(np.abs(g1).max()), abs(g2), abs(mean))
         if res_norm <= tol:
             return (z, beta, omega, theta), res_norm
         if res_norm > 1e4 * max(best, 1.0):
             raise _HopfNewtonFailure(f"diverging, residual {res_norm:.3e}")
         best = min(best, res_norm)
 
-        col_beta = coupling * c0
-        col_omega = -1j * psi
-        col_theta = -1j * np.exp(-1j * theta) * coeffs.p * fprime * psi
-
-        jac = np.zeros((2 * n + 3, 2 * n + 3))
-        re_c = model.r * coupling.real
-        im_c = model.r * coupling.imag
-        jac[:n, :n] = dense_laplacian
-        jac[:n, :n][np.diag_indices(n)] += re_c
-        jac[:n, n : 2 * n] = np.diag(-im_c)
-        jac[n : 2 * n, :n] = np.diag(im_c)
-        jac[n : 2 * n, n : 2 * n] = dense_laplacian
-        jac[n : 2 * n, n : 2 * n][np.diag_indices(n)] += re_c
-        jac[:n, 2 * n] = col_beta.real
-        jac[n : 2 * n, 2 * n] = col_beta.imag
-        jac[:n, 2 * n + 1] = col_omega.real
-        jac[n : 2 * n, 2 * n + 1] = col_omega.imag
-        jac[:n, 2 * n + 2] = col_theta.real
-        jac[n : 2 * n, 2 * n + 2] = col_theta.imag
-        jac[2 * n, :n] = 2.0 * model.r**2 * weights * z.real
-        jac[2 * n, n : 2 * n] = 2.0 * model.r**2 * weights * z.imag
-        jac[2 * n, 2 * n] = 2.0 * beta * c0 * c0 * model.grid.length
-        jac[2 * n + 1, :n] = weights
-        jac[2 * n + 2, n : 2 * n] = weights
-
-        residual = np.concatenate(
-            [g1.real, g1.imag, [g2, mean.real, mean.imag]]
+        block = laplacian.sparse(model.r * coupling.real)
+        im_c = diags(model.r * coupling.imag)
+        core = bmat([[block, -im_c], [im_c, block]])
+        # columns d/d(beta, omega, theta) of g1, split into real and imag
+        cols = np.column_stack([
+            coupling * c0,
+            -1j * psi,
+            -1j * np.exp(-1j * theta) * coeffs.p * fprime * psi,
+        ])
+        rows = np.zeros((3, 2 * n))
+        rows[0, :n] = 2.0 * model.r**2 * weights * z.real
+        rows[0, n:] = 2.0 * model.r**2 * weights * z.imag
+        rows[1, :n] = weights
+        rows[2, n:] = weights
+        corner = np.zeros((3, 3))
+        corner[0, 0] = 2.0 * beta * c0 * c0 * model.grid.length
+        delta = _bordered_solve(
+            core, np.vstack([cols.real, cols.imag]), rows, corner, -residual
         )
-        try:
-            delta = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise _HopfNewtonFailure(str(exc)) from None
         z = z + delta[:n] + 1j * delta[n : 2 * n]
         beta += delta[2 * n]
         omega += delta[2 * n + 1]
         theta += delta[2 * n + 2]
 
-    g1, g2, mean, _, _ = _hopf_residual((z, beta, omega, theta), model, u, laplacian)
-    res_norm = max(float(np.abs(g1).max()), abs(g2), abs(mean))
+    _, res_norm, _, _ = _hopf_residual((z, beta, omega, theta), model, u, laplacian)
     if res_norm <= accept_tol:
         return (z, beta, omega, theta), res_norm
     raise _HopfNewtonFailure(
@@ -444,25 +460,8 @@ def continue_hopf(
         )
     limit = limit_hopf_data(coeffs, grid)
     laplacian = assemble_laplacian(grid)
-    dense = laplacian.toarray()
-    c0 = coeffs.c0
-
     state = (np.array(limit.z, dtype=complex), limit.beta, limit.omega, limit.theta)
-    u_prev = np.full(grid.n_points, c0)
-
-    if r_target == 0:
-        model0 = model.with_r(0.0)
-        g1, g2, mean, _, _ = _hopf_residual(state, model0, u_prev, laplacian)
-        res = max(float(np.abs(g1).max()), abs(g2), abs(mean))
-        return HopfSolution(
-            model=model0,
-            u=u_prev,
-            z=state[0],
-            beta=state[1],
-            omega=state[2],
-            theta=state[3],
-            residual_norm=res,
-        )
+    u_prev = np.full(grid.n_points, coeffs.c0)
 
     if n_steps is None:
         n_steps = max(1, math.ceil(r_target / 0.025))
@@ -476,7 +475,7 @@ def continue_hopf(
         try:
             steady = solve_steady_state(model_next, u0=u_prev, laplacian=laplacian)
             state_next, res_norm = _hopf_newton(
-                state, model_next, steady.u, laplacian, dense
+                state, model_next, steady.u, laplacian
             )
         except (NewtonConvergenceError, _HopfNewtonFailure) as exc:
             failures += 1
@@ -498,8 +497,7 @@ def continue_hopf(
         beta, z = -beta, -z
     theta = theta % TWO_PI
     model_final = model.with_r(r_target)
-    g1, g2, mean, _, _ = _hopf_residual((z, beta, omega, theta), model_final, u_prev, laplacian)
-    res = max(float(np.abs(g1).max()), abs(g2), abs(mean))
+    _, res, _, _ = _hopf_residual((z, beta, omega, theta), model_final, u_prev, laplacian)
     return HopfSolution(
         model=model_final,
         u=u_prev,

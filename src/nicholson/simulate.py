@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks
-from scipy.sparse import csc_matrix, diags, identity
+from scipy.sparse import identity
 from scipy.sparse.linalg import splu
 
 from .grid import Grid1D, spatial_average
@@ -167,11 +167,8 @@ def simulate_pde(
     laplacian = assemble_laplacian(grid)
     half = 0.5 * dt * model.d
     n = grid.n_points
-    sparse_lap = diags(
-        [laplacian.lower, laplacian.main, laplacian.upper], offsets=[-1, 0, 1],
-        format="csc",
-    )
-    implicit = splu(csc_matrix(identity(n, format="csc") - half * sparse_lap))
+    sparse_lap = laplacian.sparse()
+    implicit = splu(identity(n, format="csc") - half * sparse_lap)
     explicit = identity(n, format="csc") + half * sparse_lap
 
     if history is None:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.sparse import csc_matrix, diags
+from scipy.sparse.linalg import spsolve
 
 from .grid import Grid1D
 from .model import ModelParams, eval_nonlinearity
@@ -35,8 +36,10 @@ class DiscreteLaplacian:
     """Tridiagonal Neumann Laplacian on a uniform grid.
 
     ``main``, ``upper`` and ``lower`` are the three diagonals.  ``apply``
-    works for real and complex nodal fields; ``toarray`` densifies for the
-    complex shifted solves used by the bifurcation modules.
+    works for real and complex nodal fields; ``sparse`` gives the shifted
+    matrix that the steady, Hopf and time-stepping solvers factor.
+    ``toarray`` densifies; it serves only ``characteristic_matrix`` and the
+    tests.
     """
 
     grid: Grid1D
@@ -60,16 +63,12 @@ class DiscreteLaplacian:
         dense[idx[1:], idx[1:] - 1] = self.lower
         return dense
 
-    def banded(self, diagonal_shift: np.ndarray | float = 0.0) -> np.ndarray:
-        """Banded storage of (Laplacian + diag(shift)) for scipy.solve_banded."""
-        n = self.grid.n_points
-        shift = np.broadcast_to(diagonal_shift, (n,))
-        dtype = np.result_type(self.main, shift)
-        ab = np.zeros((3, n), dtype=dtype)
-        ab[0, 1:] = self.upper
-        ab[1, :] = self.main + shift
-        ab[2, :-1] = self.lower
-        return ab
+    def sparse(self, diagonal_shift: np.ndarray | float = 0.0) -> csc_matrix:
+        """Laplacian + diag(shift) as a sparse CSC matrix."""
+        return diags(
+            [self.lower, self.main + diagonal_shift, self.upper],
+            offsets=[-1, 0, 1], format="csc",
+        )
 
 
 def assemble_laplacian(grid: Grid1D) -> DiscreteLaplacian:
@@ -171,8 +170,7 @@ def solve_steady_state(
                 u=u, r=model.r, residual_norm=res_norm, newton_iterations=iteration - 1
             )
         slope = coeffs.p * eval_nonlinearity(u, order=1) - coeffs.delta
-        ab = laplacian.banded(model.r * slope)
-        step = solve_banded((1, 1), ab, -residual)
+        step = spsolve(laplacian.sparse(model.r * slope), -residual)
 
         lam = 1.0
         accepted = False

@@ -1,7 +1,9 @@
 """Command-line interface: config handling, tasks, exit codes, manifests."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -364,6 +366,25 @@ class TestExitCodes:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_unread_task_key_is_config_error(self, tmp_path, fig2_config,
+                                             capsys):
+        out = tmp_path / "unread"
+        code = main(["steady", "--config", str(fig2_config),
+                     "--out", str(out), "--set", "task.tend=5"])
+        assert code == 1
+        assert "'tend'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reproduce_rejects_config_and_set(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["reproduce", "fig2", "--config", "/nonexistent.cfg",
+                     "--set", "model.r=5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and "--set" in err
+        assert not list(tmp_path.iterdir())
+
     def test_sweep_unsorted_is_config_error(self, tmp_path, fig2_config):
         out = tmp_path / "unsorted"
         code = main([
@@ -416,10 +437,14 @@ class TestExitCodes:
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path, fig2_config):
         out = tmp_path / "script-out"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + os.pathsep + path if path else src)
         result = subprocess.run(
             [sys.executable, "-m", "nicholson.cli", "steady",
              "--config", str(fig2_config), "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "c0 = " in result.stdout

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_matrix
 
+import nicholson.hopf as hopf_module
 from nicholson.grid import Grid1D
 from nicholson.hopf import (
     NoHopfError,
@@ -106,6 +108,44 @@ class TestMeanZeroPoisson:
         )
         mean = grid.integrate(rhs) / grid.length
         assert abs(mean) <= 1e-10 * np.abs(rhs).max()
+
+
+class TestBorderedSolve:
+    def test_matches_dense_solve(self, monkeypatch):
+        # record the Poisson and the first Hopf-Newton system of a real
+        # continuation, then solve each again densely
+        real_solve = hopf_module._bordered_solve
+        systems = []
+
+        def recording(*args):
+            systems.append(args)
+            return real_solve(*args)
+
+        monkeypatch.setattr(hopf_module, "_bordered_solve", recording)
+        grid = Grid1D(length=3.0, n_points=41)
+        continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+        poisson, newton = systems[0], systems[1]
+        assert poisson[0].shape == (41, 41)
+        assert newton[0].shape == (82, 82)
+        assert np.iscomplexobj(poisson[4]) and not np.iscomplexobj(newton[4])
+        rng = np.random.default_rng(3)
+        complex_rhs = newton[4] + 1j * rng.standard_normal(newton[4].size)
+        for core, cols, rows, corner, rhs in (
+            poisson, newton, newton[:4] + (complex_rhs,)
+        ):
+            dense = np.block([[core.toarray(), cols], [rows, corner]])
+            expected = np.linalg.solve(dense, rhs)
+            got = real_solve(core, cols, rows, corner, rhs)
+            error = np.linalg.norm(got - expected)
+            assert error <= 1e-12 * np.linalg.norm(expected)
+
+    def test_singular_matrix_is_newton_failure(self):
+        core = csc_matrix((2, 2))
+        with pytest.raises(hopf_module._HopfNewtonFailure, match="singular"):
+            hopf_module._bordered_solve(
+                core, np.zeros((2, 1)), np.zeros((1, 2)), np.ones((1, 1)),
+                np.ones(3),
+            )
 
 
 class TestContinuation:
