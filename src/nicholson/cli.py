@@ -473,8 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
         help="override one config entry; repeatable",
     )
-    for name in ("steady", "hopf", "normalform", "simulate", "average-dde",
-                 "sweep"):
+    for name in TASKS:
         sub.add_parser(name, parents=[common])
     repro = sub.add_parser("reproduce", parents=[common])
     repro.add_argument("figure", choices=sorted(_FIGURES))

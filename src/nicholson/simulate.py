@@ -7,13 +7,14 @@ treated with Crank-Nicolson, the reaction explicitly, and the delayed field
 is read from a ring buffer whose depth ties the step size to the delay
 (dt is snapped so that tau_hat is an exact multiple of it).
 
-A forward-Euler integrator for the spatially averaged scalar equation
+The spatially averaged scalar equation
 
     v'(t) = -delta_bar v(t) + p_bar v(t - tau_check) exp(-a v(t - tau_check))
 
-is included for cross-checking thresholds and periods against the PDE run,
-and :func:`estimate_period` turns the tail of either trace into an
-oscillation verdict.
+runs on the same stepper with the diffusion switched off (forward Euler),
+for cross-checking thresholds and periods against the PDE run, and
+:func:`estimate_period` turns the tail of either trace into an oscillation
+verdict.
 """
 
 from __future__ import annotations
@@ -80,29 +81,61 @@ class PeriodEstimate:
     trend_ratio: float
 
 
-def _resolve_history(history, grid: Grid1D, times: np.ndarray) -> list[np.ndarray]:
-    """Materialize the history on ``times`` as a list of nodal fields."""
-    fields: list[np.ndarray] = []
-    if callable(history):
-        for t in times:
-            field = np.asarray(history(grid.nodes, float(t)), dtype=float)
-            field = np.broadcast_to(field, (grid.n_points,)).astype(float)
-            fields.append(field)
+def _snap_step(delay: float, dt: float, t_end: float) -> tuple[float, int, int]:
+    """Snap ``dt`` to divide ``delay``; return (dt, delay in steps, step count)."""
+    if t_end is None or t_end <= 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt:.6g}")
+    if delay > 0:
+        n_delay = max(1, round(delay / dt))
+        dt = delay / n_delay
     else:
-        base = np.asarray(history, dtype=float)
-        if base.ndim == 0:
-            base = np.full(grid.n_points, float(base))
-        if base.shape != (grid.n_points,):
-            raise ValueError(
-                f"history field has shape {base.shape}, expected ({grid.n_points},)"
-            )
-        fields = [base.copy() for _ in times]
-    for field in fields:
-        if not np.all(np.isfinite(field)):
-            raise ValueError("history contains non-finite values")
-        if np.any(field <= 0.0):
-            raise ValueError("history must be strictly positive")
-    return fields
+        n_delay = 0
+    return dt, n_delay, math.ceil(t_end / dt - 1e-12)
+
+
+def _march(advance, size, observe, levels, dt, n_steps, threshold,
+           snapshot_stride=None):
+    """Step a delayed equation ``n_steps`` times from its history ``levels``.
+
+    ``levels`` holds the state at t = -n_delay*dt, ..., -dt, 0, oldest first;
+    ``advance(current, delayed)`` returns the state one step later.  A state
+    whose ``size`` is not at most ``threshold`` (inf and NaN included) is a
+    :class:`BlowUpError`.  Returns the times, ``observe`` of every state and
+    (time, state) snapshots every ``snapshot_stride`` steps plus the last.
+    """
+    if not all(np.all(np.isfinite(level) & (level > 0)) for level in levels):
+        raise ValueError("history must be finite and strictly positive")
+    # the last n_delay + 1 states; buffer[0] is the delayed one
+    buffer = deque(levels, maxlen=len(levels))
+    current = buffer[-1]
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= dt
+    means = np.empty(n_steps + 1)
+    means[0] = observe(current)
+    stride = snapshot_stride if snapshot_stride and snapshot_stride > 0 else 0
+    snapshots = [(0.0, current.copy())] if stride else []
+    # overflow is the blow-up the threshold test reports, not a numerical
+    # accident worth warning about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            try:
+                current = advance(current, buffer[0])
+            except OverflowError:  # math.exp in a scalar reaction
+                current = math.inf
+            if not size(current) <= threshold:
+                t = step * dt
+                raise BlowUpError(
+                    f"solution exceeded {threshold:.3g} at t = {t:.6g}", time=t
+                )
+            buffer.append(current)
+            means[step] = observe(current)
+            if stride and step % stride == 0:
+                snapshots.append((step * dt, current.copy()))
+    if stride and snapshots[-1][0] != times[-1]:
+        snapshots.append((float(times[-1]), current.copy()))
+    return times, means, tuple(snapshots)
 
 
 def default_history(model: ModelParams) -> np.ndarray:
@@ -149,76 +182,45 @@ def simulate_pde(
     LU-factored once), the reaction p g(u_delayed) - delta u is explicit,
     so the scheme is first order in time with an O(dt^2) diffusion error.
     """
-    if t_end is None or t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt:.6g}")
+    tau_hat = model.tau_hat
+    dt, n_delay, n_steps = _snap_step(tau_hat, dt, t_end)
     if model.r <= 0:
         raise ValueError("simulation requires r > 0 (finite diffusion)")
     grid = model.grid
-    tau_hat = model.tau_hat
-    if tau_hat > 0:
-        n_delay = max(1, round(tau_hat / dt))
-        dt = tau_hat / n_delay
-    else:
-        n_delay = 0
-    n_steps = math.ceil(t_end / dt - 1e-12)
-
-    laplacian = assemble_laplacian(grid)
-    half = 0.5 * dt * model.d
     n = grid.n_points
-    sparse_lap = laplacian.sparse()
-    implicit = splu(identity(n, format="csc") - half * sparse_lap)
-    explicit = identity(n, format="csc") + half * sparse_lap
-
     if history is None:
         history = default_history(model)
-    history_times = -dt * np.arange(n_delay, 0, -1) if n_delay else np.array([])
-    buffer = deque(_resolve_history(history, grid, history_times), maxlen=max(n_delay, 1))
-    current = _resolve_history(history, grid, np.array([0.0]))[0]
+    if callable(history):
+        levels = [np.broadcast_to(history(grid.nodes, -k * dt), (n,)).astype(float)
+                  for k in range(n_delay, -1, -1)]
+    else:
+        base = np.asarray(history, dtype=float)
+        if base.ndim == 0:
+            base = np.full(n, float(base))
+        if base.shape != (n,):
+            raise ValueError(f"history field has shape {base.shape}, expected ({n},)")
+        levels = [base] * (n_delay + 1)
 
-    p = model.coeffs.p
-    delta = model.coeffs.delta
-    a = model.a
+    half = 0.5 * dt * model.d
+    sparse_lap = assemble_laplacian(grid).sparse()
+    implicit = splu(identity(n, format="csc") - half * sparse_lap)
+    explicit = identity(n, format="csc") + half * sparse_lap
+    p, delta, a = model.coeffs.p, model.coeffs.delta, model.a
 
-    times = np.empty(n_steps + 1)
-    means = np.empty(n_steps + 1)
-    times[0] = 0.0
-    means[0] = spatial_average(current, grid)
-    snapshots = []
-    if snapshot_stride is not None and snapshot_stride > 0:
-        snapshots.append((0.0, current.copy()))
+    def advance(current, delayed):
+        reaction = p * delayed * np.exp(-a * delayed) - delta * current
+        return implicit.solve(explicit @ current + dt * reaction)
 
-    for step in range(1, n_steps + 1):
-        delayed = buffer[0] if n_delay else current
-        # overflow here is the blow-up being detected two lines down, not a
-        # numerical accident worth warning about
-        with np.errstate(over="ignore", invalid="ignore"):
-            reaction = p * delayed * np.exp(-a * delayed) - delta * current
-            rhs = explicit @ current + dt * reaction
-            new = implicit.solve(rhs)
-        if n_delay:
-            buffer.append(current)
-        current = new
-        t = step * dt
-        if not np.all(np.isfinite(current)) or np.abs(current).max() > blowup_threshold:
-            raise BlowUpError(
-                f"field exceeded {blowup_threshold:.3g} at t = {t:.6g}", time=t
-            )
-        times[step] = t
-        means[step] = spatial_average(current, grid)
-        if snapshot_stride is not None and snapshot_stride > 0 and step % snapshot_stride == 0:
-            snapshots.append((t, current.copy()))
-
-    if snapshot_stride is not None and snapshot_stride > 0:
-        if not snapshots or snapshots[-1][0] != times[-1]:
-            snapshots.append((float(times[-1]), current.copy()))
+    times, means, snapshots = _march(
+        advance, lambda u: np.abs(u).max(), lambda u: spatial_average(u, grid),
+        levels, dt, n_steps, blowup_threshold, snapshot_stride,
+    )
     echo = {
         "model": model, "tau_hat": tau_hat, "dt": dt,
         "t_end": float(times[-1]), "n_steps": n_steps,
     }
     return SimulationTrace(
-        times=times, mean_series=means, snapshots=tuple(snapshots),
+        times=times, mean_series=means, snapshots=snapshots,
         dt=dt, tau_hat=tau_hat, params_echo=echo,
     )
 
@@ -234,6 +236,7 @@ def simulate_average_dde(
 ) -> SimulationTrace:
     """Forward-Euler run of the spatially averaged scalar delay equation.
 
+    The stepper of :func:`simulate_pde` with the diffusion switched off.
     ``history`` is a constant or a callable t -> value on [-tau_check, 0];
     it defaults to 90% of the positive equilibrium log(p_bar/delta_bar)/a,
     which requires p_bar > delta_bar.
@@ -242,50 +245,23 @@ def simulate_average_dde(
         raise ValueError("p_bar, delta_bar and a must be positive")
     if tau_check < 0:
         raise ValueError(f"delay must be nonnegative, got {tau_check:.6g}")
-    if t_end is None or t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
+    dt, n_delay, n_steps = _snap_step(tau_check, dt, t_end)
     if history is None:
         if p_bar <= delta_bar:
             raise ValueError(
                 "no positive equilibrium (p_bar <= delta_bar); pass a history"
             )
-        level = math.log(p_bar / delta_bar) / a
-        history = 0.9 * level
-    if tau_check > 0:
-        n_delay = max(1, round(tau_check / dt))
-        dt = tau_check / n_delay
-    else:
-        n_delay = 0
-    n_steps = math.ceil(t_end / dt - 1e-12)
-
+        history = 0.9 * (math.log(p_bar / delta_bar) / a)
     if callable(history):
-        past = [float(history(-dt * k)) for k in range(n_delay, 0, -1)]
-        value = float(history(0.0))
+        levels = [float(history(-k * dt)) for k in range(n_delay, -1, -1)]
     else:
-        past = [float(history)] * n_delay
-        value = float(history)
-    if any(v <= 0 or not math.isfinite(v) for v in past + [value]):
-        raise ValueError("history must be strictly positive and finite")
-    buffer = deque(past, maxlen=max(n_delay, 1))
+        levels = [float(history)] * (n_delay + 1)
 
-    times = np.empty(n_steps + 1)
-    values = np.empty(n_steps + 1)
-    times[0] = 0.0
-    values[0] = value
-    for step in range(1, n_steps + 1):
-        delayed = buffer[0] if n_delay else value
+    def advance(value, delayed):
         rate = -delta_bar * value + p_bar * delayed * math.exp(-a * delayed)
-        new = value + dt * rate
-        if n_delay:
-            buffer.append(value)
-        value = new
-        if not math.isfinite(value) or abs(value) > 1e8:
-            raise BlowUpError(
-                f"scalar solution exceeded 1e8 at t = {step * dt:.6g}",
-                time=step * dt,
-            )
-        times[step] = step * dt
-        values[step] = value
+        return value + dt * rate
+
+    times, values, _ = _march(advance, abs, float, levels, dt, n_steps, 1e8)
     echo = {
         "p_bar": p_bar, "delta_bar": delta_bar, "a": a,
         "tau_check": tau_check, "dt": dt, "t_end": float(times[-1]),

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from nicholson import cli
 from nicholson.cli import main
 from nicholson.config import (
+    TASKS,
     ConfigError,
     echo_lines,
     load_config,
@@ -49,6 +51,11 @@ def read_summary(out_dir) -> dict:
             key, value = line.split(" = ", 1)
             table[key] = value
     return table
+
+
+class TestTaskNames:
+    def test_runners_match_config_tasks(self):
+        assert set(cli._TASK_RUNNERS) == set(TASKS)
 
 
 class TestParseOverrides:
@@ -432,6 +439,16 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "simulator.simulate_pde" in capsys.readouterr().err
+
+    def test_scalar_overflow_is_three(self, tmp_path, fig2_config, capsys):
+        out = tmp_path / "overflow"
+        code = main([
+            "average-dde", "--config", str(fig2_config), "--out", str(out),
+            "--set", "task.tau_check=0", "--set", "task.dt=1",
+            "--set", "task.t_end=200",
+        ])
+        assert code == 3
+        assert "simulator.simulate_average_dde" in capsys.readouterr().err
 
 
 class TestConsoleScript:

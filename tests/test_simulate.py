@@ -29,7 +29,7 @@ def synthetic_trace(values: np.ndarray, dt: float) -> SimulationTrace:
     return SimulationTrace(
         times=times,
         mean_series=np.asarray(values, dtype=float),
-        snapshots={},
+        snapshots=(),
         dt=dt,
         tau_hat=0.0,
         params_echo={},
@@ -247,6 +247,98 @@ class TestAverageDde:
         with pytest.raises(ValueError, match="positive"):
             simulate_average_dde(math.exp(3.0), 1.0, 2.5, tau_check=1.0,
                                  history=-0.3, t_end=10.0)
+
+    def test_overflow_is_blowup(self):
+        # a huge step overflows math.exp before the value passes 1e8
+        with pytest.raises(BlowUpError) as info:
+            simulate_average_dde(math.exp(2.7), 2.0, 2.5, 0.0, t_end=200.0,
+                                 dt=1.0)
+        assert info.value.time > 0.0
+
+
+class TestAverageDdeIsConstantPde:
+    """With constant coefficients the PDE mean obeys the averaged DDE."""
+
+    @pytest.mark.parametrize("tau_hat", [0.0, 1.0])
+    def test_mean_series_matches(self, tau_hat):
+        grid = Grid1D(3.0, 11)
+        model = constant_model(2.7, grid, r=10.0, delta_bar=2.0)
+        model = model.with_r(10.0, tau=tau_hat / 10.0)
+        pde = simulate_pde(model, history=1.0, t_end=100.0, dt=5e-3)
+        coeffs = model.coeffs
+        dde = simulate_average_dde(coeffs.p_bar, coeffs.delta_bar, model.a,
+                                   model.tau_hat, history=1.0, t_end=100.0,
+                                   dt=5e-3)
+        assert pde.times.tobytes() == dde.times.tobytes()
+        np.testing.assert_allclose(pde.mean_series, dde.mean_series,
+                                   rtol=0.0, atol=1e-10)
+        if tau_hat > 0:
+            # above the first threshold: the oracle is not just a fixed point
+            assert estimate_period(dde).oscillating
+
+
+def same_trace(first: SimulationTrace, second: SimulationTrace) -> bool:
+    return (
+        first.times.tobytes() == second.times.tobytes()
+        and first.mean_series.tobytes() == second.mean_series.tobytes()
+        and len(first.snapshots) == len(second.snapshots)
+        and all(t1 == t2 and f1.tobytes() == f2.tobytes()
+                for (t1, f1), (t2, f2) in zip(first.snapshots,
+                                              second.snapshots))
+    )
+
+
+class TestCallableHistory:
+    @pytest.fixture
+    def delayed_model(self):
+        grid = Grid1D(length=3.0, n_points=41)
+        return figure_model("fig2", grid, r=10.0).with_r(10.0, tau=0.1)
+
+    def test_pde_constant_callable_is_constant(self, delayed_model):
+        plain = simulate_pde(delayed_model, history=1.2, t_end=20.0,
+                             snapshot_stride=700)
+        called = simulate_pde(delayed_model, history=lambda x, t: 1.2,
+                              t_end=20.0, snapshot_stride=700)
+        assert plain.snapshots
+        assert same_trace(plain, called)
+
+    def test_pde_reads_every_level(self, delayed_model):
+        grid = delayed_model.grid
+        seen = []
+
+        def history(x, t):
+            seen.append(t)
+            return (1.0 + 0.1 * np.cos(x)) * (2.0 + t)
+
+        trace = simulate_pde(delayed_model, history=history, t_end=1.0)
+        n_delay = round(trace.tau_hat / trace.dt)
+        assert n_delay == 200
+        assert seen == pytest.approx(
+            [-k * trace.dt for k in range(n_delay, -1, -1)], abs=1e-15)
+        assert seen[-1] == 0.0
+        start = spatial_average(history(grid.nodes, 0.0), grid)
+        assert trace.mean_series[0] == start
+
+    def test_dde_constant_callable_is_constant(self):
+        plain = simulate_average_dde(math.exp(3.0), 1.0, 2.5, 0.9,
+                                     history=0.7, t_end=50.0)
+        called = simulate_average_dde(math.exp(3.0), 1.0, 2.5, 0.9,
+                                      history=lambda t: 0.7, t_end=50.0)
+        assert same_trace(plain, called)
+
+    def test_dde_starts_at_history_of_zero(self):
+        seen = []
+
+        def history(t):
+            seen.append(t)
+            return 2.0 + t
+
+        trace = simulate_average_dde(math.exp(3.0), 1.0, 2.5, 0.9,
+                                     history=history, t_end=10.0)
+        assert len(seen) == round(0.9 / trace.dt) + 1
+        assert min(seen) == pytest.approx(-0.9, abs=1e-15)
+        assert seen[-1] == 0.0
+        assert trace.mean_series[0] == 2.0
 
 
 class TestCsvWriters:
