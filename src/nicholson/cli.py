@@ -235,18 +235,25 @@ def _verdict_lines(prefix: str, trace, tail_fraction: float) -> list[str]:
     return lines
 
 
+def _simulation_options(config: RunConfig, dt: float) -> tuple[dict, float]:
+    """Run options and tail fraction of a simulation task, checked first."""
+    tail_fraction = option_float(config, "tail_fraction", 0.25)
+    if not 0 < tail_fraction <= 0.5:
+        raise ConfigError(
+            f"task.tail_fraction must lie in (0, 0.5], got {tail_fraction:.6g}"
+        )
+    history = config.options.get("history")
+    return {"t_end": option_float(config, "t_end", 400.0),
+            "dt": option_float(config, "dt", dt),
+            "history": None if history is None else float(history)}, tail_fraction
+
+
 def _task_simulate(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    t_end = option_float(config, "t_end", 400.0)
-    dt = option_float(config, "dt", 5e-3)
-    tail_fraction = option_float(config, "tail_fraction", 0.25)
-    stride = option_int(config, "snapshot_stride", 0)
-    history = config.options.get("history")
-    history_value = float(history) if history is not None else None
+    options, tail_fraction = _simulation_options(config, 5e-3)
     trace = _call(
         "simulator.simulate_pde", simulate_pde, model,
-        history=history_value, t_end=t_end, dt=dt,
-        snapshot_stride=stride if stride > 0 else None,
+        snapshot_stride=option_int(config, "snapshot_stride", 0), **options,
     )
     files = []
     path = out / "trace.csv"
@@ -272,15 +279,10 @@ def _task_average_dde(config: RunConfig, out: Path) -> tuple[list[str], list[str
     model = config.model
     coeffs = model.coeffs
     tau_check = option_float(config, "tau_check", model.tau_hat)
-    t_end = option_float(config, "t_end", 400.0)
-    dt = option_float(config, "dt", 1e-3)
-    tail_fraction = option_float(config, "tail_fraction", 0.25)
-    history = config.options.get("history")
-    history_value = float(history) if history is not None else None
+    options, tail_fraction = _simulation_options(config, 1e-3)
     trace = _call(
         "simulator.simulate_average_dde", simulate_average_dde,
-        coeffs.p_bar, coeffs.delta_bar, model.a, tau_check,
-        history=history_value, t_end=t_end, dt=dt,
+        coeffs.p_bar, coeffs.delta_bar, model.a, tau_check, **options,
     )
     path = out / "trace.csv"
     write_trace_csv(path, trace)

@@ -3,9 +3,9 @@
 The PDE integrator works in the original (unnormalized) variables: density
 u(x, t), diffusion coefficient d = 1/r, delay tau_hat = r * tau and birth
 function p(x) v exp(-a v) evaluated at the delayed density.  Diffusion is
-treated with Crank-Nicolson, the reaction explicitly, and the delayed field
-is read from a ring buffer whose depth ties the step size to the delay
-(dt is snapped so that tau_hat is an exact multiple of it).
+treated with Crank-Nicolson, the reaction explicitly, and dt is snapped so
+that tau_hat is an exact multiple of it: the stored states then hold the
+delayed fields of a block of steps, whose births take one call.
 
 The spatially averaged scalar equation
 
@@ -20,13 +20,11 @@ verdict.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import find_peaks
-from scipy.sparse import identity
-from scipy.sparse.linalg import splu
 
 from .grid import Grid1D, spatial_average
 from .model import ModelParams
@@ -83,10 +81,12 @@ class PeriodEstimate:
 
 def _snap_step(delay: float, dt: float, t_end: float) -> tuple[float, int, int]:
     """Snap ``dt`` to divide ``delay``; return (dt, delay in steps, step count)."""
-    if t_end is None or t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt:.6g}")
+    if t_end is None or not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt:.6g}")
+    if not 0 <= delay < math.inf:
+        raise ValueError(f"delay must be nonnegative and finite, got {delay:.6g}")
     if delay > 0:
         n_delay = max(1, round(delay / dt))
         dt = delay / n_delay
@@ -95,44 +95,64 @@ def _snap_step(delay: float, dt: float, t_end: float) -> tuple[float, int, int]:
     return dt, n_delay, math.ceil(t_end / dt - 1e-12)
 
 
-def _march(advance, size, observe, levels, dt, n_steps, threshold,
-           snapshot_stride=None):
-    """Step a delayed equation ``n_steps`` times from its history ``levels``.
+# most states per call for births, blow-up test and means; bounds the
+# transient memory of a long delay
+_CHUNK = 128
 
-    ``levels`` holds the state at t = -n_delay*dt, ..., -dt, 0, oldest first;
-    ``advance(current, delayed)`` returns the state one step later.  A state
-    whose ``size`` is not at most ``threshold`` (inf and NaN included) is a
-    :class:`BlowUpError`.  Returns the times, ``observe`` of every state and
-    (time, state) snapshots every ``snapshot_stride`` steps plus the last.
+
+def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
+           threshold, snapshot_stride=None):
+    """Step a delayed equation ``n_steps`` times from ``history(t)``.
+
+    A ring of states (of ``shape``) starts with the history at
+    t = -n_delay*dt, ..., 0.  Each step writes its state n_delay + 1 rows
+    after the delayed one it read, so the births ``gain*v*exp(-a*v)`` of
+    the next n_delay + 1 steps take one call; ``advance(current, births,
+    out)`` writes those steps' states to ``out`` and returns the last.  The
+    blow-up test (a largest magnitude not at most ``threshold`` raises
+    :class:`BlowUpError`), ``observe`` and the snapshots run on blocks of
+    up to ``_CHUNK`` states, for which a short delay gets a longer ring.
     """
-    if not all(np.all(np.isfinite(level) & (level > 0)) for level in levels):
+    stride = snapshot_stride or 0
+    if stride < 0:
+        raise ValueError(f"snapshot_stride must be nonnegative, got {stride}")
+    depth = n_delay + 1
+    ring = np.empty((depth * max(1, _CHUNK // depth), *shape))
+    for row in range(depth):
+        ring[row] = history((row - n_delay) * dt)
+    if not (ring[:depth].min() > 0 and ring[:depth].max() < math.inf):
         raise ValueError("history must be finite and strictly positive")
-    # the last n_delay + 1 states; buffer[0] is the delayed one
-    buffer = deque(levels, maxlen=len(levels))
-    current = buffer[-1]
+    current = ring[n_delay].copy()
     times = np.arange(n_steps + 1, dtype=float)
     times *= dt
     means = np.empty(n_steps + 1)
     means[0] = observe(current)
-    stride = snapshot_stride if snapshot_stride and snapshot_stride > 0 else 0
     snapshots = [(0.0, current.copy())] if stride else []
+    step = 0
     # overflow is the blow-up the threshold test reports, not a numerical
     # accident worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            try:
-                current = advance(current, buffer[0])
-            except OverflowError:  # math.exp in a scalar reaction
-                current = math.inf
-            if not size(current) <= threshold:
-                t = step * dt
+        while step < n_steps:
+            start = (step + depth) % len(ring)  # the row of state step + 1
+            end = min(start + _CHUNK, len(ring), start + n_steps - step)
+            for row in range(start, end, depth):
+                read = (row - depth) % len(ring)
+                delayed = ring[read:read + min(depth, end - row)]
+                births = gain * delayed * np.exp(-a * delayed)
+                current = advance(current, births, ring[row:row + len(births)])
+            block = ring[start:end]
+            bad = ~(np.abs(block).reshape(len(block), -1).max(axis=1) <= threshold)
+            if bad.any():
+                t = (step + 1 + int(bad.argmax())) * dt
                 raise BlowUpError(
                     f"solution exceeded {threshold:.3g} at t = {t:.6g}", time=t
                 )
-            buffer.append(current)
-            means[step] = observe(current)
-            if stride and step % stride == 0:
-                snapshots.append((step * dt, current.copy()))
+            means[step + 1:step + 1 + len(block)] = observe(block)
+            if stride:
+                for k in range(step - step % stride + stride,
+                               step + 1 + len(block), stride):
+                    snapshots.append((k * dt, block[k - step - 1].copy()))
+            step += len(block)
     if stride and snapshots[-1][0] != times[-1]:
         snapshots.append((float(times[-1]), current.copy()))
     return times, means, tuple(snapshots)
@@ -178,42 +198,37 @@ def simulate_pde(
 
     Notes
     -----
-    Diffusion is Crank-Nicolson (the constant tridiagonal factor is
-    LU-factored once), the reaction p g(u_delayed) - delta u is explicit,
-    so the scheme is first order in time with an O(dt^2) diffusion error.
+    Diffusion is Crank-Nicolson, the reaction p g(u_delayed) - delta u is
+    explicit, so the scheme is first order in time with an O(dt^2)
+    diffusion error.  As (I + hL) u = 2u - Au for A = I - hL, h = dt d / 2,
+    a step is u_new = A^-1 ((2 - dt delta) u + births) - u: one ``gttrs``
+    solve with the ``gttrf`` factor of A.  The births dt p v exp(-a v) of
+    up to tau_hat / dt + 1 steps are evaluated in one call.
     """
     tau_hat = model.tau_hat
     dt, n_delay, n_steps = _snap_step(tau_hat, dt, t_end)
     if model.r <= 0:
         raise ValueError("simulation requires r > 0 (finite diffusion)")
     grid = model.grid
-    n = grid.n_points
     if history is None:
         history = default_history(model)
-    if callable(history):
-        levels = [np.broadcast_to(history(grid.nodes, -k * dt), (n,)).astype(float)
-                  for k in range(n_delay, -1, -1)]
-    else:
-        base = np.asarray(history, dtype=float)
-        if base.ndim == 0:
-            base = np.full(n, float(base))
-        if base.shape != (n,):
-            raise ValueError(f"history field has shape {base.shape}, expected ({n},)")
-        levels = [base] * (n_delay + 1)
+    levels = ((lambda t: history(grid.nodes, t)) if callable(history)
+              else (lambda t: history))
 
     half = 0.5 * dt * model.d
-    sparse_lap = assemble_laplacian(grid).sparse()
-    implicit = splu(identity(n, format="csc") - half * sparse_lap)
-    explicit = identity(n, format="csc") + half * sparse_lap
-    p, delta, a = model.coeffs.p, model.coeffs.delta, model.a
+    lap = assemble_laplacian(grid)
+    lu = dgttrf(-half * lap.lower, 1.0 - half * lap.main, -half * lap.upper)[:5]
+    keep = 2.0 - dt * model.coeffs.delta
 
-    def advance(current, delayed):
-        reaction = p * delayed * np.exp(-a * delayed) - delta * current
-        return implicit.solve(explicit @ current + dt * reaction)
+    def advance(current, births, out):
+        for birth, row in zip(births, out):
+            row[:] = current = dgttrs(*lu, keep * current + birth)[0] - current
+        return current
 
     times, means, snapshots = _march(
-        advance, lambda u: np.abs(u).max(), lambda u: spatial_average(u, grid),
-        levels, dt, n_steps, blowup_threshold, snapshot_stride,
+        advance, lambda u: spatial_average(u, grid), levels, (grid.n_points,),
+        n_delay, dt * model.coeffs.p, model.a, dt, n_steps, blowup_threshold,
+        snapshot_stride,
     )
     echo = {
         "model": model, "tau_hat": tau_hat, "dt": dt,
@@ -243,8 +258,6 @@ def simulate_average_dde(
     """
     if min(p_bar, delta_bar, a) <= 0:
         raise ValueError("p_bar, delta_bar and a must be positive")
-    if tau_check < 0:
-        raise ValueError(f"delay must be nonnegative, got {tau_check:.6g}")
     dt, n_delay, n_steps = _snap_step(tau_check, dt, t_end)
     if history is None:
         if p_bar <= delta_bar:
@@ -252,16 +265,18 @@ def simulate_average_dde(
                 "no positive equilibrium (p_bar <= delta_bar); pass a history"
             )
         history = 0.9 * (math.log(p_bar / delta_bar) / a)
-    if callable(history):
-        levels = [float(history(-k * dt)) for k in range(n_delay, -1, -1)]
-    else:
-        levels = [float(history)] * (n_delay + 1)
+    keep = 1.0 - dt * delta_bar
 
-    def advance(value, delayed):
-        rate = -delta_bar * value + p_bar * delayed * math.exp(-a * delayed)
-        return value + dt * rate
+    def advance(value, births, out):
+        for row, birth in enumerate(births.tolist()):
+            value = out[row] = keep * value + birth
+        return value
 
-    times, values, _ = _march(advance, abs, float, levels, dt, n_steps, 1e8)
+    times, values, _ = _march(
+        advance, lambda v: v,
+        history if callable(history) else (lambda t: history), (), n_delay,
+        dt * p_bar, a, dt, n_steps, 1e8,
+    )
     echo = {
         "p_bar": p_bar, "delta_bar": delta_bar, "a": a,
         "tau_check": tau_check, "dt": dt, "t_end": float(times[-1]),

@@ -37,7 +37,7 @@ class DiscreteLaplacian:
 
     ``main``, ``upper`` and ``lower`` are the three diagonals.  ``apply``
     works for real and complex nodal fields; ``sparse`` gives the shifted
-    matrix that the steady, Hopf and time-stepping solvers factor.
+    matrix that the steady and Hopf solvers factor.
     ``toarray`` densifies; it serves only ``characteristic_matrix`` and the
     tests.
     """

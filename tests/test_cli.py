@@ -451,6 +451,43 @@ class TestExitCodes:
         assert "simulator.simulate_average_dde" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("task, settings, key", [
+        ("simulate", ["task.t_end=inf"], "t_end"),
+        ("simulate", ["task.t_end=nan"], "t_end"),
+        ("simulate", ["task.dt=nan"], "dt"),
+        ("average-dde", ["task.tau_check=0", "task.dt=inf"], "dt"),
+        ("average-dde", ["task.tau_check=inf"], "delay"),
+    ])
+    def test_nonfinite_time_is_config_error(self, tmp_path, fig2_config,
+                                            capsys, task, settings, key):
+        args = [task, "--config", str(fig2_config), "--out",
+                str(tmp_path / "out")]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["simulate", "average-dde"])
+    @pytest.mark.parametrize("value", ["0", "0.75", "nan"])
+    def test_bad_tail_fraction_is_config_error(self, tmp_path, fig2_config,
+                                               capsys, task, value):
+        out = tmp_path / "tail"
+        code = main([task, "--config", str(fig2_config), "--out", str(out),
+                     "--set", f"task.tail_fraction={value}"])
+        assert code == 1
+        assert "task.tail_fraction must lie in" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    def test_negative_snapshot_stride_is_config_error(self, tmp_path,
+                                                      fig2_config, capsys):
+        out = tmp_path / "stride"
+        code = main(["simulate", "--config", str(fig2_config), "--out",
+                     str(out), "--set", "task.snapshot_stride=-5"])
+        assert code == 1
+        assert "snapshot_stride must be nonnegative" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path, fig2_config):
         out = tmp_path / "script-out"

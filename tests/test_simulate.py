@@ -1,18 +1,24 @@
 """Time stepping: equilibria, delay-induced oscillation, diagnostics."""
 
 import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from scipy.sparse import identity
+from scipy.sparse.linalg import splu
 
 import oracles
 from conftest import constant_model, figure_model
 
 from nicholson.grid import Grid1D, spatial_average
 from nicholson.simulate import (
+    _CHUNK,
     BlowUpError,
     PeriodEstimate,
     SimulationTrace,
+    _snap_step,
     default_history,
     estimate_period,
     simulate_average_dde,
@@ -21,7 +27,7 @@ from nicholson.simulate import (
     write_spacetime_csv,
     write_trace_csv,
 )
-from nicholson.steady import solve_steady_state
+from nicholson.steady import assemble_laplacian, solve_steady_state
 
 
 def synthetic_trace(values: np.ndarray, dt: float) -> SimulationTrace:
@@ -143,6 +149,19 @@ class TestPdeInterface:
         with pytest.raises(ValueError, match="t_end"):
             simulate_pde(fig1_model)
 
+    @pytest.mark.parametrize("key", ["t_end", "dt"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_time_rejected(self, fig1_model, key, value):
+        times = {"t_end": 1.0, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            simulate_pde(fig1_model, **times)
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            simulate_average_dde(math.exp(3.0), 1.0, 2.5, 0.0, **times)
+
+    def test_negative_snapshot_stride_rejected(self, fig1_model):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            simulate_pde(fig1_model, t_end=1.0, snapshot_stride=-3)
+
     def test_dt_snaps_to_delay(self):
         grid = Grid1D(length=3.0, n_points=101)
         model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=0.2)
@@ -204,6 +223,137 @@ class TestPdeInterface:
         assert info.value.time > 0.0
 
 
+def reference_pde(model, history, t_end, dt, snapshot_stride=None,
+                  blowup_threshold=1e8):
+    """One Crank-Nicolson step at a time: a sparse matvec, a SuperLU solve
+    and a deque of the last n_delay + 1 fields.  Returns the means and the
+    snapshots."""
+    dt, n_delay, n_steps = _snap_step(model.tau_hat, dt, t_end)
+    grid, n = model.grid, model.grid.n_points
+    half = 0.5 * dt * model.d
+    lap = assemble_laplacian(grid).sparse()
+    implicit = splu(identity(n, format="csc") - half * lap)
+    explicit = identity(n, format="csc") + half * lap
+    p, delta, a = model.coeffs.p, model.coeffs.delta, model.a
+    buffer = deque([np.broadcast_to(history(grid.nodes, -k * dt), (n,))
+                    for k in range(n_delay, -1, -1)], maxlen=n_delay + 1)
+    current = buffer[-1]
+    means = [spatial_average(current, grid)]
+    snapshots = [(0.0, current)] if snapshot_stride else []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            delayed = buffer[0]
+            reaction = p * delayed * np.exp(-a * delayed) - delta * current
+            current = implicit.solve(explicit @ current + dt * reaction)
+            if not np.abs(current).max() <= blowup_threshold:
+                raise BlowUpError("reference blow-up", time=step * dt)
+            buffer.append(current)
+            means.append(spatial_average(current, grid))
+            if snapshot_stride and step % snapshot_stride == 0:
+                snapshots.append((step * dt, current))
+    if snapshot_stride and snapshots[-1][0] != n_steps * dt:
+        snapshots.append((n_steps * dt, current))
+    return np.array(means), snapshots
+
+
+def reference_dde(p_bar, delta_bar, a, tau, history, t_end, dt):
+    """Forward Euler one step at a time with a deque of delayed values."""
+    dt, n_delay, n_steps = _snap_step(tau, dt, t_end)
+    buffer = deque([history(-k * dt) for k in range(n_delay, -1, -1)],
+                   maxlen=n_delay + 1)
+    values = [buffer[-1]]
+    for _ in range(n_steps):
+        delayed = buffer[0]
+        rate = -delta_bar * values[-1] + p_bar * delayed * math.exp(-a * delayed)
+        values.append(values[-1] + dt * rate)
+        buffer.append(values[-1])
+    return np.array(values)
+
+
+class TestBlockMarchMatchesReference:
+    """The block march against the per-step reference above.
+
+    The delays cover the shortest ring, a ring lengthened to a multiple of
+    a short delay, and a delay longer than one block of births; no step
+    count is a multiple of the ring length or of the block length, and the
+    snapshot stride is aligned with neither.
+    """
+
+    DT = 5e-3
+
+    @pytest.mark.parametrize("n_delay, n_steps", [
+        (0, 300), (1, 303), (44, 432), (_CHUNK + 72, 900),
+    ])
+    def test_pde(self, n_delay, n_steps):
+        grid = Grid1D(3.0, 41)
+        model = figure_model("fig2", grid, r=10.0).with_r(
+            10.0, tau=n_delay * self.DT / 10.0)
+
+        def history(x, t):
+            return (1.0 + 0.1 * np.cos(x)) * (2.0 + 0.1 * t)
+
+        t_end = n_steps * self.DT
+        trace = simulate_pde(model, history=history, t_end=t_end, dt=self.DT,
+                             snapshot_stride=37)
+        assert round(trace.tau_hat / trace.dt) == n_delay
+        assert len(trace.times) == n_steps + 1
+        means, snapshots = reference_pde(model, history, t_end, self.DT,
+                                         snapshot_stride=37)
+        np.testing.assert_allclose(trace.mean_series, means, rtol=1e-12,
+                                   atol=0.0)
+        assert [t for t, _ in trace.snapshots] == [t for t, _ in snapshots]
+        for (_, field), (_, expected) in zip(trace.snapshots, snapshots):
+            np.testing.assert_allclose(field, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_delay", [0, 1, _CHUNK + 72])
+    def test_dde(self, n_delay):
+        dt = 1e-2
+        tau = n_delay * dt
+        trace = simulate_average_dde(math.exp(3.0), 1.0, 2.5, tau,
+                                     history=lambda t: 1.0 + 0.2 * t,
+                                     t_end=1011 * dt, dt=dt)
+        expected = reference_dde(math.exp(3.0), 1.0, 2.5, tau,
+                                 lambda t: 1.0 + 0.2 * t, 1011 * dt, dt)
+        np.testing.assert_allclose(trace.mean_series, expected, rtol=1e-12,
+                                   atol=0.0)
+
+    def test_blowup_inside_a_block(self):
+        # dt * delta > 2 makes the explicit reaction unstable; the reference
+        # passes 1e6 at step 290, inside the block of steps 202 .. 329 and
+        # after the ring of 201 states has wrapped once
+        dt, n_delay = 0.68, _CHUNK + 72
+        grid = Grid1D(3.0, 41)
+        model = figure_model("fig2", grid, r=10.0).with_r(
+            10.0, tau=n_delay * dt / 10.0)
+        with pytest.raises(BlowUpError) as expected:
+            reference_pde(model, lambda x, t: 1.0, 400 * dt, dt,
+                          blowup_threshold=1e6)
+        with pytest.raises(BlowUpError) as info:
+            simulate_pde(model, history=1.0, t_end=400 * dt, dt=dt,
+                         blowup_threshold=1e6)
+        assert round(expected.value.time / dt) == 290
+        assert info.value.time == expected.value.time
+        assert str(info.value) == f"solution exceeded 1e+06 at t = {info.value.time:.6g}"
+
+
+def test_long_delay_memory_is_bounded():
+    # 2000 delay steps at n = 201: a 3.2 MB ring; blocks of births keep the
+    # transient memory independent of the delay
+    grid = Grid1D(3.0, 201)
+    model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=1.0)
+    tracemalloc.start()
+    try:
+        trace = simulate_pde(model, history=1.0, t_end=25.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_delay = round(trace.tau_hat / trace.dt)
+    assert n_delay == 2000
+    ring_bytes = (n_delay + 1) * grid.n_points * 8
+    outputs = trace.times.nbytes + trace.mean_series.nbytes
+    assert peak - outputs <= 1.5 * ring_bytes
+
+
 class TestAverageDde:
     def test_subcritical_delay_settles(self):
         tau0 = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
@@ -247,6 +397,10 @@ class TestAverageDde:
         with pytest.raises(ValueError, match="positive"):
             simulate_average_dde(math.exp(3.0), 1.0, 2.5, tau_check=1.0,
                                  history=-0.3, t_end=10.0)
+        for tau_check in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="delay"):
+                simulate_average_dde(math.exp(3.0), 1.0, 2.5, tau_check,
+                                     t_end=10.0)
 
     def test_overflow_is_blowup(self):
         # a huge step overflows math.exp before the value passes 1e8
