@@ -48,7 +48,6 @@ from .hopf import (
     limit_phase,
     limit_transversality_real,
     nondegeneracy_integral,
-    second_neumann_eigenvalue,
     solve_poisson_meanzero,
     transversality,
     write_hopf_csv,
@@ -118,7 +117,6 @@ __all__ = [
     "limit_phase",
     "limit_transversality_real",
     "nondegeneracy_integral",
-    "second_neumann_eigenvalue",
     "solve_poisson_meanzero",
     "transversality",
     "write_hopf_csv",

@@ -62,6 +62,7 @@ from .simulate import (
     write_trace_csv,
 )
 from .steady import NewtonConvergenceError, solve_steady_state, write_steady_csv
+from .table import BLANK, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -301,19 +302,16 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(model: ModelParams, r: float, r_cap: float) -> str:
+def _sweep_row(model: ModelParams, r: float, r_cap: float) -> tuple:
     sol = continue_hopf(model.with_r(r), r, r_cap=r_cap)
     thresholds = hopf_thresholds(sol, n_max=0)
     integral = nondegeneracy_integral(sol, 0)
     report = normal_form_report(sol, 0)
-    cells = [
-        f"{r:.12g}", f"{1.0 / r:.12g}", f"{sol.theta:.12g}",
-        f"{sol.omega:.12g}", f"{sol.beta:.12g}",
-        f"{thresholds.taus[0]:.12g}", f"{thresholds.taus_hat[0]:.12g}",
-        f"{integral.real:.12g}", f"{integral.imag:.12g}",
-        f"{report.dmu.real / r**2:.12g}", f"{report.c1.real:.12g}", "OK",
-    ]
-    return ",".join(cells)
+    return (
+        r, 1.0 / r, sol.theta, sol.omega, sol.beta, thresholds.taus[0],
+        thresholds.taus_hat[0], integral.real, integral.imag,
+        report.dmu.real / r**2, report.c1.real, "OK",
+    )
 
 
 def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
@@ -338,24 +336,19 @@ def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         try:
             rows.append(_sweep_row(model, r, r_cap))
         except _SOLVER_ERRORS + (NoHopfError,):
-            empty = [f"{r:.12g}", f"{1.0 / r:.12g}"] + [""] * 9 + ["STALL"]
-            rows.append(",".join(empty))
+            rows.append((r, 1.0 / r) + (BLANK,) * 9 + ("STALL",))
             stalled += 1
     limit = limit_hopf_data(coeffs, model.grid)
     tau_hat0 = limit.theta / limit.omega
     integral = limit_nondegeneracy_integral(coeffs.c0, model.grid.length, 0)
     crossing = limit_transversality_real(coeffs, model.grid, 0)
     lyapunov = limit_lyapunov_real(coeffs.c0, 0)
-    rows.append(",".join([
-        "0", "inf", f"{limit.theta:.12g}", f"{limit.omega:.12g}", "1",
-        "inf", f"{tau_hat0:.12g}", f"{integral.real:.12g}",
-        f"{integral.imag:.12g}", f"{crossing:.12g}", f"{lyapunov:.12g}",
-        "LIMIT",
-    ]))
+    rows.append((
+        0.0, math.inf, limit.theta, limit.omega, 1.0, math.inf, tau_hat0,
+        integral.real, integral.imag, crossing, lyapunov, "LIMIT",
+    ))
     path = out / "sweep.csv"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_SWEEP_COLUMNS + "\n")
-        handle.write("\n".join(rows) + "\n")
+    write_table(path, _SWEEP_COLUMNS, list(zip(*rows)))
     summary = [
         f"c0 = {coeffs.c0:.12g}",
         f"rows = {len(rows)}",
@@ -383,7 +376,7 @@ _FIGURES = {
 }
 
 
-def _reproduce_config(figure: str, tau_hat: float, n_points: int) -> RunConfig:
+def _reproduce_model(figure: str, tau_hat: float, n_points: int) -> ModelParams:
     recipe = _FIGURES[figure]
     grid = Grid1D(length=3.0, n_points=n_points)
     coeffs = build_coefficients(
@@ -392,9 +385,7 @@ def _reproduce_config(figure: str, tau_hat: float, n_points: int) -> RunConfig:
         grid,
     )
     r = 10.0  # both built-in parameter sets use d = 0.1
-    model = ModelParams(r=r, a=2.5, tau=tau_hat / r, grid=grid, coeffs=coeffs)
-    return RunConfig(model=model, task="simulate",
-                     options={"t_end": "400", "dt": "5e-3"})
+    return ModelParams(r=r, a=2.5, tau=tau_hat / r, grid=grid, coeffs=coeffs)
 
 
 def run_reproduce(figure: str, out: Path, n_points: int = 301) -> tuple[list[str], list[str]]:
@@ -403,8 +394,7 @@ def run_reproduce(figure: str, out: Path, n_points: int = 301) -> tuple[list[str
     summary: list[str] = []
     files: list[str] = []
     for tau_hat in (0.0, 2.0):
-        config = _reproduce_config(figure, tau_hat, n_points)
-        model = config.model
+        model = _reproduce_model(figure, tau_hat, n_points)
         trace = _call(
             "simulator.simulate_pde", simulate_pde, model,
             t_end=400.0, dt=5e-3,

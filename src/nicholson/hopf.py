@@ -36,8 +36,10 @@ from .steady import (
     assemble_laplacian,
     solve_steady_state,
 )
+from .table import write_table
 
 TWO_PI = 2.0 * math.pi
+_CONTINUATION_STEP = 0.025  # largest step in r of continue_hopf
 
 
 class NoHopfError(ValueError):
@@ -58,15 +60,6 @@ class ContinuationStallError(RuntimeError):
 
 class SimplicityWarning(UserWarning):
     """The nondegeneracy integral is close to zero; results are fragile."""
-
-
-def second_neumann_eigenvalue(grid: Grid1D) -> float:
-    """Smallest nonzero Neumann Laplacian eigenvalue, (pi / length)^2.
-
-    Diagnostic only: it bounds the spectral gap protecting the mean mode and
-    is reported alongside continuation output, never used algorithmically.
-    """
-    return (math.pi / grid.length) ** 2
 
 
 def limit_phase(c0: float) -> float:
@@ -417,16 +410,16 @@ def _hopf_newton(
 def continue_hopf(
     model: ModelParams,
     r_target: float,
-    n_steps: int | None = None,
     r_cap: float = 0.5,
 ) -> HopfSolution:
     """Follow the imaginary-axis crossing from r = 0 to ``r_target``.
 
-    Uniform predictor-corrector continuation: at each step the steady state
-    is re-solved (warm started) and the crossing system is Newton-corrected
-    from the previous solution.  Failed steps are halved; the step recovers
-    geometrically after success.  ``r_target = 0`` returns the closed-form
-    limit packaged as a :class:`HopfSolution`.
+    Predictor-corrector continuation in max(1, ceil(r_target / 0.025))
+    equal steps: at each step the steady state is re-solved (warm started)
+    and the crossing system is Newton-corrected from the previous solution.
+    Failed steps are halved; the step recovers geometrically after success.
+    ``r_target = 0`` returns the closed-form limit packaged as a
+    :class:`HopfSolution`.
 
     Parameters
     ----------
@@ -434,9 +427,6 @@ def continue_hopf(
         Supplies grid, coefficients and a; its own r is ignored.
     r_target : float
         Destination, 0 <= r_target <= r_cap.
-    n_steps : int, optional
-        Number of uniform continuation steps (default: enough for a step
-        of about 0.025).
     r_cap : float
         Guard rail for the validated small-r regime.  Raise it explicitly
         to explore further; expect stalls once eigenvalue crossings lose
@@ -463,9 +453,7 @@ def continue_hopf(
     state = (np.array(limit.z, dtype=complex), limit.beta, limit.omega, limit.theta)
     u_prev = np.full(grid.n_points, coeffs.c0)
 
-    if n_steps is None:
-        n_steps = max(1, math.ceil(r_target / 0.025))
-    base_step = r_target / n_steps
+    base_step = r_target / max(1, math.ceil(r_target / _CONTINUATION_STEP))
     step = base_step
     r_current = 0.0
     failures = 0
@@ -619,20 +607,11 @@ def limit_transversality_real(
 
 def write_hopf_csv(path, sol: HopfSolution, thresholds: ThresholdSequence) -> None:
     """Dump a crossing: scalar block, then nodewise z and psi columns."""
-    grid = sol.model.grid
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"r,{sol.r:.12g}\n")
-        handle.write(f"d,{sol.model.d:.12g}\n")
-        handle.write(f"beta,{sol.beta:.12g}\n")
-        handle.write(f"h,{sol.omega:.12g}\n")
-        handle.write(f"theta,{sol.theta:.12g}\n")
-        handle.write(f"nu,{sol.nu:.12g}\n")
-        for k in range(thresholds.n_max + 1):
-            handle.write(f"tau{k},{thresholds.taus[k]:.12g}\n")
-            handle.write(f"tau_hat{k},{thresholds.taus_hat[k]:.12g}\n")
-        handle.write("x,Re z,Im z,Re psi,Im psi\n")
-        for x, z_val, psi_val in zip(grid.nodes, sol.z, sol.psi):
-            handle.write(
-                f"{x:.12g},{z_val.real:.12g},{z_val.imag:.12g},"
-                f"{psi_val.real:.12g},{psi_val.imag:.12g}\n"
-            )
+    preamble = [("r", sol.r), ("d", sol.model.d), ("beta", sol.beta),
+                ("h", sol.omega), ("theta", sol.theta), ("nu", sol.nu)]
+    for k in range(thresholds.n_max + 1):
+        preamble += [(f"tau{k}", thresholds.taus[k]),
+                     (f"tau_hat{k}", thresholds.taus_hat[k])]
+    write_table(path, "x,Re z,Im z,Re psi,Im psi", [
+        sol.model.grid.nodes, sol.z.real, sol.z.imag, sol.psi.real, sol.psi.imag,
+    ], preamble=preamble)

@@ -36,6 +36,7 @@ from .hopf import (
 )
 from .model import eval_nonlinearity
 from .steady import assemble_laplacian
+from .table import write_table
 
 
 class ResonanceError(RuntimeError):
@@ -341,23 +342,17 @@ def lyapunov_sign_bounds(c0: float) -> tuple[float, float]:
 
 def write_normalform_csv(path, sol: HopfSolution, reports) -> None:
     """One row per threshold index with the scalar normal-form data."""
-    columns = (
+    header = (
         "r,d,n,tau_n,tau_hat_n,Re_g20,Im_g20,Re_g11,Im_g11,Re_g02,Im_g02,"
         "Re_g21,Im_g21,Re_C1,Im_C1,Re_dmu,Im_dmu,mu2,direction,orbit_stability"
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(columns + "\n")
-        for report in reports:
-            g = report.g
-            row = [
-                f"{sol.r:.12g}", f"{sol.model.d:.12g}", str(report.n),
-                f"{report.tau_n:.12g}", f"{report.tau_hat_n:.12g}",
-                f"{g.g20.real:.12g}", f"{g.g20.imag:.12g}",
-                f"{g.g11.real:.12g}", f"{g.g11.imag:.12g}",
-                f"{g.g02.real:.12g}", f"{g.g02.imag:.12g}",
-                f"{g.g21.real:.12g}", f"{g.g21.imag:.12g}",
-                f"{report.c1.real:.12g}", f"{report.c1.imag:.12g}",
-                f"{report.dmu.real:.12g}", f"{report.dmu.imag:.12g}",
-                f"{report.mu2:.12g}", report.direction, report.orbit_stability,
-            ]
-            handle.write(",".join(row) + "\n")
+    rows = [
+        (sol.r, sol.model.d, report.n, report.tau_n, report.tau_hat_n,
+         report.g.g20.real, report.g.g20.imag, report.g.g11.real,
+         report.g.g11.imag, report.g.g02.real, report.g.g02.imag,
+         report.g.g21.real, report.g.g21.imag, report.c1.real, report.c1.imag,
+         report.dmu.real, report.dmu.imag, report.mu2, report.direction,
+         report.orbit_stability)
+        for report in reports
+    ]
+    write_table(path, header, list(zip(*rows)))

@@ -29,6 +29,7 @@ from scipy.signal import find_peaks
 from .grid import Grid1D, spatial_average
 from .model import ModelParams
 from .steady import assemble_laplacian, solve_steady_state
+from .table import write_table
 
 
 class BlowUpError(RuntimeError):
@@ -346,24 +347,17 @@ def estimate_period(
 
 def write_trace_csv(path, trace: SimulationTrace) -> None:
     """Time series of the spatial mean as ``t,mean_u`` rows."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,mean_u\n")
-        for t, value in zip(trace.times, trace.mean_series):
-            handle.write(f"{t:.12g},{value:.12g}\n")
+    write_table(path, "t,mean_u", [trace.times, trace.mean_series])
 
 
 def write_snapshot_csv(path, grid: Grid1D, field: np.ndarray) -> None:
     """One spatial profile as ``x,u`` rows."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("x,u\n")
-        for x, value in zip(grid.nodes, field):
-            handle.write(f"{x:.12g},{value:.12g}\n")
+    write_table(path, "x,u", [grid.nodes, field])
 
 
 def write_spacetime_csv(path, grid: Grid1D, trace: SimulationTrace) -> None:
     """All recorded snapshots in long ``t,x,u`` format."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,x,u\n")
-        for t, field in trace.snapshots:
-            for x, value in zip(grid.nodes, field):
-                handle.write(f"{t:.12g},{x:.12g},{value:.12g}\n")
+    write_table(path, "t,x,u", *(
+        [np.broadcast_to(t, grid.n_points), grid.nodes, field]
+        for t, field in trace.snapshots
+    ))

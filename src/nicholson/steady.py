@@ -20,6 +20,7 @@ from scipy.sparse.linalg import spsolve
 
 from .grid import Grid1D
 from .model import ModelParams, eval_nonlinearity
+from .table import write_table
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -207,7 +208,4 @@ def solve_steady_state(
 
 def write_steady_csv(path, grid: Grid1D, steady: SteadyState) -> None:
     """Dump the steady state as a two-column CSV ``x,u``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("x,u\n")
-        for x, value in zip(grid.nodes, steady.u):
-            handle.write(f"{x:.12g},{value:.12g}\n")
+    write_table(path, "x,u", [grid.nodes, steady.u])

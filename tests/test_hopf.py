@@ -21,7 +21,6 @@ from nicholson.hopf import (
     limit_phase,
     limit_transversality_real,
     nondegeneracy_integral,
-    second_neumann_eigenvalue,
     solve_poisson_meanzero,
     transversality,
     write_hopf_csv,
@@ -214,12 +213,6 @@ class TestCharacteristicOperator:
                 1j * sol.nu, tau_n, sol.psi, sol.model, sol.u
             )
             assert np.abs(residual).max() < 1e-8 * scale
-
-    def test_second_neumann_eigenvalue(self):
-        grid = Grid1D(length=3.0, n_points=101)
-        assert second_neumann_eigenvalue(grid) == pytest.approx(
-            (math.pi / 3.0) ** 2
-        )
 
 
 class TestThresholds:
