@@ -24,7 +24,6 @@ from .model import (
 from .steady import (
     DiscreteLaplacian,
     NewtonConvergenceError,
-    NewtonOptions,
     SteadyState,
     assemble_laplacian,
     solve_steady_state,
@@ -95,7 +94,6 @@ __all__ = [
     "eval_nonlinearity",
     "DiscreteLaplacian",
     "NewtonConvergenceError",
-    "NewtonOptions",
     "SteadyState",
     "assemble_laplacian",
     "solve_steady_state",

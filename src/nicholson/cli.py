@@ -262,7 +262,7 @@ def _task_simulate(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     files.append(path.name)
     if trace.snapshots:
         for t, field in trace.snapshots:
-            snap_path = out / f"snapshot_{t:.6g}.csv"
+            snap_path = out / f"snapshot_{t:.12g}.csv"
             write_snapshot_csv(snap_path, model.grid, field)
             files.append(snap_path.name)
         spacetime = out / "spacetime.csv"

@@ -89,24 +89,18 @@ def _read_sections(path, overrides) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _pop_float(table: dict, key: str, context: str):
-    raw = table.pop(key, None)
-    if raw is None:
-        return None
+def _number(raw: str, kind, name: str):
+    """``kind(raw)``, or a ConfigError naming ``name``."""
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{context}.{key} = {raw!r} is not a number") from exc
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{name} = {raw!r} is not {noun}") from exc
 
 
-def _pop_int(table: dict, key: str, context: str):
+def _pop_model_number(table: dict, key: str, kind=float):
     raw = table.pop(key, None)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{context}.{key} = {raw!r} is not an integer") from exc
+    return None if raw is None else _number(raw, kind, f"model.{key}")
 
 
 def _coefficient(table: dict, name: str, grid: Grid1D) -> CoefficientSpec:
@@ -147,10 +141,10 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
     model_table = dict(sections["model"])
     task_table = dict(sections["task"])
 
-    length = _pop_float(model_table, "length", "model")
+    length = _pop_model_number(model_table, "length")
     if length is None:
         raise ConfigError("model.length is required")
-    n_points = _pop_int(model_table, "n_points", "model")
+    n_points = _pop_model_number(model_table, "n_points", int)
     if grid_override is not None:
         n_points = grid_override
     if n_points is None:
@@ -160,12 +154,12 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
     except ValueError as exc:
         raise ConfigError(f"model grid: {exc}") from exc
 
-    a = _pop_float(model_table, "a", "model")
+    a = _pop_model_number(model_table, "a")
     if a is None:
         raise ConfigError("model.a is required")
 
-    d = _pop_float(model_table, "d", "model")
-    r = _pop_float(model_table, "r", "model")
+    d = _pop_model_number(model_table, "d")
+    r = _pop_model_number(model_table, "r")
     if (d is None) == (r is None):
         raise ConfigError("model needs exactly one of d or r (d * r = 1)")
     if d is not None:
@@ -175,8 +169,8 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
     if r <= 0 or not math.isfinite(r):
         raise ConfigError(f"model.r must be positive and finite, got {r:.6g}")
 
-    tau_hat = _pop_float(model_table, "tau_hat", "model")
-    tau = _pop_float(model_table, "tau", "model")
+    tau_hat = _pop_model_number(model_table, "tau_hat")
+    tau = _pop_model_number(model_table, "tau")
     if tau_hat is not None and tau is not None:
         raise ConfigError("model accepts at most one of tau_hat or tau")
     if tau is None:
@@ -202,28 +196,21 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
     return RunConfig(model=model, task=task, options=task_table)
 
 
-def option_float(config: RunConfig, key: str, default: float | None = None) -> float:
+def _option(config: RunConfig, key: str, kind, default):
     raw = config.options.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"task.{key} is required for task {config.task!r}")
         return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"task.{key} = {raw!r} is not a number") from exc
+    return _number(raw, kind, f"task.{key}")
+
+
+def option_float(config: RunConfig, key: str, default: float | None = None) -> float:
+    return _option(config, key, float, default)
 
 
 def option_int(config: RunConfig, key: str, default: int | None = None) -> int:
-    raw = config.options.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"task.{key} is required for task {config.task!r}")
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"task.{key} = {raw!r} is not an integer") from exc
+    return _option(config, key, int, default)
 
 
 def option_float_list(config: RunConfig, key: str) -> list[float]:

@@ -40,6 +40,8 @@ from .table import write_table
 
 TWO_PI = 2.0 * math.pi
 _CONTINUATION_STEP = 0.025  # largest step in r of continue_hopf
+_MAX_ITERATIONS = 30  # Newton steps per continuation step
+_EPS = float(np.finfo(float).eps)
 
 
 class NoHopfError(ValueError):
@@ -51,11 +53,17 @@ class SolvabilityError(ValueError):
 
 
 class ContinuationStallError(RuntimeError):
-    """Continuation could not advance past some r despite step halving."""
+    """Continuation could not advance past ``last_good_r``.
 
-    def __init__(self, message: str, last_good_r: float):
+    ``first_failure`` is the text of the first step that failed from there,
+    at the largest step size: usually the real cause.
+    """
+
+    def __init__(self, message: str, last_good_r: float,
+                 first_failure: str | None = None):
         super().__init__(message)
         self.last_good_r = last_good_r
+        self.first_failure = first_failure
 
 
 class SimplicityWarning(UserWarning):
@@ -68,22 +76,14 @@ def limit_phase(c0: float) -> float:
     Solves cos(theta0) = 1/(1 - c0), sin(theta0) = -sqrt(c0^2 - 2 c0)/(1 - c0)
     for c0 > 2.
     """
+    if c0 <= 0:
+        raise NoHopfError(f"c0 = {c0:.6g} <= 0: no positive steady state, "
+                          "Hopf analysis does not apply")
     if c0 <= 2.0:
-        raise NoHopfError(_no_hopf_message(c0))
+        raise NoHopfError(f"c0 = {c0:.6g} <= 2: the steady state is stable for "
+                          "every delay, no Hopf bifurcation exists")
     spread = math.sqrt(c0 * c0 - 2.0 * c0)
     return math.atan2(spread / (c0 - 1.0), -1.0 / (c0 - 1.0))
-
-
-def _no_hopf_message(c0: float) -> str:
-    if c0 <= 0:
-        return (
-            f"c0 = {c0:.6g} <= 0: no positive steady state, "
-            "Hopf analysis does not apply"
-        )
-    return (
-        f"c0 = {c0:.6g} <= 2: the steady state is stable for every delay, "
-        "no Hopf bifurcation exists"
-    )
 
 
 @dataclass(frozen=True)
@@ -160,17 +160,17 @@ def solve_poisson_meanzero(
     rhs: np.ndarray,
     grid: Grid1D,
     laplacian: DiscreteLaplacian | None = None,
-    mean_tol: float = 1e-8,
     scale: float | None = None,
 ) -> np.ndarray:
     """Solve Laplace(z) = rhs with Neumann boundaries and zero-mean z.
 
     The Neumann Laplacian is singular on constants; the problem is solvable
-    exactly when the quadrature mean of ``rhs`` vanishes.  The mean is checked
-    against ``mean_tol`` relative to ``scale`` (default: the rhs magnitude;
-    callers whose rhs is a difference of large terms should pass the
-    pre-cancellation magnitude so an all-roundoff rhs is accepted as zero),
-    the (tiny) residual mean is projected out, and the system is solved in
+    exactly when the quadrature mean of ``rhs`` vanishes.  The mean is
+    checked against the roundoff that a quadrature sum of n values of size
+    ``scale`` can carry, n eps scale.  ``scale`` defaults to the rhs
+    magnitude; callers whose rhs is a difference of large terms should pass
+    the pre-cancellation magnitude so an all-roundoff rhs is accepted as
+    zero.  The residual mean is projected out, and the system is solved in
     bordered form
 
         [A  1] [z     ]   [rhs]
@@ -182,7 +182,7 @@ def solve_poisson_meanzero(
     Raises
     ------
     SolvabilityError
-        If the quadrature mean of rhs exceeds the tolerance.
+        If the quadrature mean of rhs exceeds its roundoff bound.
     """
     if laplacian is None:
         laplacian = assemble_laplacian(grid)
@@ -194,7 +194,7 @@ def solve_poisson_meanzero(
     if scale == 0.0:
         return np.zeros(grid.n_points, dtype=complex)
     mean = grid.integrate(rhs) / grid.length
-    if abs(mean) > mean_tol * scale:
+    if abs(mean) > grid.n_points * _EPS * scale:
         raise SolvabilityError(
             f"rhs has quadrature mean {abs(mean):.3e} (relative "
             f"{abs(mean) / scale:.3e}); the Neumann problem is unsolvable"
@@ -222,8 +222,6 @@ def limit_hopf_data(coeffs: CoefficientField, grid: Grid1D) -> LimitHopfData:
         regime c0 <= 0 without positive steady states).
     """
     c0 = coeffs.c0
-    if c0 <= 2.0:
-        raise NoHopfError(_no_hopf_message(c0))
     theta = limit_phase(c0)
     omega = coeffs.delta_bar * math.sqrt(c0 * c0 - 2.0 * c0)
     fprime = eval_nonlinearity(c0, order=1)
@@ -242,6 +240,13 @@ def limit_hopf_data(coeffs: CoefficientField, grid: Grid1D) -> LimitHopfData:
     return LimitHopfData(theta=theta, omega=omega, beta=1.0, z=z)
 
 
+def _delay_shift(model: ModelParams, u: np.ndarray, mu: complex, tau: float):
+    """Diagonal r e^{-mu tau} p f'(u) - r delta - mu of the eigenvalue operator."""
+    coeffs = model.coeffs
+    return (model.r * np.exp(-mu * tau) * coeffs.p * eval_nonlinearity(u, order=1)
+            - model.r * coeffs.delta - mu)
+
+
 def characteristic_matrix(
     model: ModelParams,
     u: np.ndarray,
@@ -257,12 +262,7 @@ def characteristic_matrix(
     if laplacian is None:
         laplacian = assemble_laplacian(model.grid)
     dense = laplacian.toarray().astype(complex)
-    shift = (
-        model.r * np.exp(-mu * tau) * model.coeffs.p * eval_nonlinearity(u, order=1)
-        - model.r * model.coeffs.delta
-        - mu
-    )
-    dense[np.diag_indices_from(dense)] += shift
+    dense[np.diag_indices_from(dense)] += _delay_shift(model, u, mu, tau)
     return dense
 
 
@@ -282,12 +282,7 @@ def characteristic_residual(
     if laplacian is None:
         laplacian = assemble_laplacian(model.grid)
     psi = np.asarray(psi, dtype=complex)
-    shift = (
-        model.r * np.exp(-mu * tau) * model.coeffs.p * eval_nonlinearity(u, order=1)
-        - model.r * model.coeffs.delta
-        - mu
-    )
-    return laplacian.apply(psi) + shift * psi
+    return laplacian.apply(psi) + _delay_shift(model, u, mu, tau) * psi
 
 
 class _HopfNewtonFailure(RuntimeError):
@@ -318,18 +313,20 @@ def _bordered_solve(core, cols, rows, corner, rhs):
 
 
 def _hopf_residual(state, model, u, laplacian):
-    """Stacked real residual (g1, g2, mean), its norm, coupling and psi.
+    """Stacked real residual (g1, g2, mean), its norm, floor ratio, coupling, psi.
 
-    The norm is max(|g1|, |g2|, |mean|).
+    The norm is max(|g1|, |g2|, |mean|).  The floor ratio is the largest
+    ratio of a block to eps times the terms it sums, before they cancel:
+    |L||z| + (p|f'(u)| + delta + |omega|)|psi| for g1, (beta^2 + 1) c0^2
+    |Omega| + r^2 ||z||^2 for g2 and int|psi| / r for the mean pins (the
+    size of int z read off psi = beta c0 + r z).  Each is nonzero at the
+    solution, even for constant coefficients, where z vanishes.
     """
     z, beta, omega, theta = state
     coeffs = model.coeffs
     c0 = coeffs.c0
-    coupling = (
-        np.exp(-1j * theta) * coeffs.p * eval_nonlinearity(u, order=1)
-        - coeffs.delta
-        - 1j * omega
-    )
+    fprime = eval_nonlinearity(u, order=1)
+    coupling = np.exp(-1j * theta) * coeffs.p * fprime - coeffs.delta - 1j * omega
     psi = beta * c0 + model.r * z
     g1 = laplacian.apply(z) + coupling * psi
     weights = model.grid.weights
@@ -338,24 +335,29 @@ def _hopf_residual(state, model, u, laplacian):
     mean = weights @ z
     residual = np.concatenate([g1.real, g1.imag, [g2, mean.real, mean.imag]])
     res_norm = max(float(np.abs(g1).max()), abs(g2), abs(mean))
-    return residual, res_norm, coupling, psi
+    abs_z, abs_psi = np.abs(z), np.abs(psi)
+    # |L||z| = L|z| - 2 diag(L)|z|: the diagonal is negative, the rest not
+    g1_size = (laplacian.apply(abs_z) - 2.0 * laplacian.main * abs_z
+               + (coeffs.p * np.abs(fprime) + coeffs.delta + abs(omega)) * abs_psi)
+    g2_size = (beta * beta + 1.0) * c0 * c0 * model.grid.length + model.r**2 * norm_sq
+    ratio = max(float((np.abs(g1) / g1_size).max()), abs(g2) / g2_size,
+                model.r * abs(mean) / float(weights @ abs_psi)) / _EPS
+    return residual, res_norm, ratio, coupling, psi
 
 
-def _hopf_newton(
-    state,
-    model: ModelParams,
-    u: np.ndarray,
-    laplacian: DiscreteLaplacian,
-    tol: float = 1e-12,
-    accept_tol: float = 1e-10,
-    max_iter: int = 30,
-):
+def _hopf_newton(state, model: ModelParams, u: np.ndarray,
+                 laplacian: DiscreteLaplacian):
     """Newton correction of (z, beta, omega, theta) at fixed r.
 
     Solves the real bordered system: 2n rows for g1, one for the
     normalization g2 and two pinning the quadrature mean of z to zero.  Its
     core is the sparse 2n x 2n z-block; the bordered matrix is sparse-LU
     factored as a whole by :func:`_bordered_solve`.
+
+    No tolerance is set: the iteration stops when every residual block is
+    below 2 eps times the magnitudes it is built from (the floor ratio of
+    :func:`_hopf_residual`), or below 100 eps once a step no longer halves
+    that ratio.  It fails after ``_MAX_ITERATIONS`` steps or on divergence.
     """
     z, beta, omega, theta = state
     z = np.array(z, dtype=complex)
@@ -365,15 +367,23 @@ def _hopf_newton(
     c0 = coeffs.c0
     fprime = eval_nonlinearity(u, order=1)
     best = math.inf
-    for _ in range(max_iter):
-        residual, res_norm, coupling, psi = _hopf_residual(
-            (z, beta, omega, theta), model, u, laplacian
+    previous = math.inf
+    for iteration in range(_MAX_ITERATIONS + 1):
+        state = (z, beta, omega, theta)
+        residual, res_norm, ratio, coupling, psi = _hopf_residual(
+            state, model, u, laplacian
         )
-        if res_norm <= tol:
-            return (z, beta, omega, theta), res_norm
+        if ratio <= 2.0 or 0.5 * previous < ratio <= 100.0:
+            return state, res_norm
+        if iteration == _MAX_ITERATIONS:
+            raise _HopfNewtonFailure(
+                f"no convergence in {_MAX_ITERATIONS} iterations, residual "
+                f"{res_norm:.3e} ({ratio / 2.0:.3g} x its roundoff floor)"
+            )
         if res_norm > 1e4 * max(best, 1.0):
             raise _HopfNewtonFailure(f"diverging, residual {res_norm:.3e}")
         best = min(best, res_norm)
+        previous = ratio
 
         block = laplacian.sparse(model.r * coupling.real)
         im_c = diags(model.r * coupling.imag)
@@ -398,13 +408,6 @@ def _hopf_newton(
         beta += delta[2 * n]
         omega += delta[2 * n + 1]
         theta += delta[2 * n + 2]
-
-    _, res_norm, _, _ = _hopf_residual((z, beta, omega, theta), model, u, laplacian)
-    if res_norm <= accept_tol:
-        return (z, beta, omega, theta), res_norm
-    raise _HopfNewtonFailure(
-        f"no convergence in {max_iter} iterations, residual {res_norm:.3e}"
-    )
 
 
 def continue_hopf(
@@ -437,7 +440,7 @@ def continue_hopf(
     NoHopfError
         If c0 <= 2.
     ContinuationStallError
-        If step halving cannot advance; carries ``last_good_r``.
+        If step halving cannot advance; carries ``last_good_r`` and ``first_failure``.
     """
     coeffs = model.coeffs
     grid = model.grid
@@ -457,6 +460,7 @@ def continue_hopf(
     step = base_step
     r_current = 0.0
     failures = 0
+    first_failure = None
     while r_current < r_target * (1.0 - 1e-15):
         r_next = min(r_current + step, r_target)
         model_next = model.with_r(r_next)
@@ -468,13 +472,18 @@ def continue_hopf(
         except (NewtonConvergenceError, _HopfNewtonFailure) as exc:
             failures += 1
             step *= 0.5
+            failure = f"at r = {r_next:.6g}: {exc}"
+            first_failure = first_failure or failure
             if failures > 40 or step < 1e-13 * r_target:
                 raise ContinuationStallError(
                     f"continuation stalled at r = {r_current:.6g} "
-                    f"targeting {r_target:.6g}: {exc}",
+                    f"targeting {r_target:.6g}; first failure {first_failure}; "
+                    f"last failure {failure}",
                     last_good_r=r_current,
+                    first_failure=first_failure,
                 ) from None
             continue
+        first_failure = None
         r_current = r_next
         state = state_next
         u_prev = steady.u
@@ -485,7 +494,7 @@ def continue_hopf(
         beta, z = -beta, -z
     theta = theta % TWO_PI
     model_final = model.with_r(r_target)
-    _, res, _, _ = _hopf_residual((z, beta, omega, theta), model_final, u_prev, laplacian)
+    res = _hopf_residual((z, beta, omega, theta), model_final, u_prev, laplacian)[1]
     return HopfSolution(
         model=model_final,
         u=u_prev,
@@ -592,8 +601,6 @@ def limit_transversality_real(
     Closed form (c0^2 - 2 c0) e^{-2 c0} mean(p)^2 c0^4 |Omega|^2 / |lim S_n|^2.
     """
     c0 = coeffs.c0
-    if c0 <= 2.0:
-        raise NoHopfError(_no_hopf_message(c0))
     numerator = (
         (c0 * c0 - 2.0 * c0)
         * math.exp(-2.0 * c0)

@@ -35,7 +35,6 @@ from .hopf import (
     transversality,
 )
 from .model import eval_nonlinearity
-from .steady import assemble_laplacian
 from .table import write_table
 
 

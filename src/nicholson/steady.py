@@ -16,15 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .grid import Grid1D
 from .model import ModelParams, eval_nonlinearity
 from .table import write_table
 
+_MAX_ITERATIONS = 50  # Newton steps before solve_steady_state gives up
+_EPS = float(np.finfo(float).eps)
+
 
 class NewtonConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the requested residual."""
+    """Newton iteration failed to bring its residual to the roundoff floor."""
 
     def __init__(self, message: str, last_residual: float, iterations: int):
         super().__init__(message)
@@ -91,19 +94,6 @@ def assemble_laplacian(grid: Grid1D) -> DiscreteLaplacian:
 
 
 @dataclass(frozen=True)
-class NewtonOptions:
-    """Knobs for the damped Newton iteration.
-
-    tol is an absolute bound on the sup norm of the residual.  Note the
-    attainable floor scales like eps / h^2: on very fine grids the Laplacian
-    evaluation itself carries that much roundoff, so pass a looser tol there.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 50
-
-
-@dataclass(frozen=True)
 class SteadyState:
     """Converged positive steady state of the normalized model."""
 
@@ -126,9 +116,21 @@ def steady_residual(
     return laplacian.apply(u) + model.r * reaction
 
 
+def _roundoff_floor(u: np.ndarray, model: ModelParams,
+                    laplacian: DiscreteLaplacian) -> float:
+    """Sup-norm residual that roundoff alone can leave at ``u``.
+
+    4 eps times the largest sum of the magnitudes that the residual adds
+    up before they cancel: 2|diag L| u for the Laplacian row and
+    r (p f(u) + delta u) for the reaction.
+    """
+    reaction = model.coeffs.p * eval_nonlinearity(u) + model.coeffs.delta * u
+    scale = 2.0 * np.abs(laplacian.main) * u + model.r * reaction
+    return 4.0 * _EPS * float(scale.max())
+
+
 def solve_steady_state(
     model: ModelParams,
-    opts: NewtonOptions | None = None,
     u0: np.ndarray | None = None,
     laplacian: DiscreteLaplacian | None = None,
 ) -> SteadyState:
@@ -138,15 +140,22 @@ def solve_steady_state(
     tridiagonal Jacobian system directly; the step is backtracked until the
     iterate stays positive and the residual satisfies an Armijo-type decrease.
 
+    There is no tolerance to set.  The iteration stops once the residual is
+    below its roundoff floor (see :func:`_roundoff_floor`) and a full Newton
+    step, taken if it stays at the floor, no longer halves it; so every grid
+    converges with the defaults.  A residual at the floor can still carry a
+    smooth part, invisible in the max norm, that the next step removes and
+    that the constant mode, damped only like r, would amplify into u.
+
     Raises
     ------
     ValueError
         If r <= 0 or c0 <= 0 (no positive steady state to look for).
     NewtonConvergenceError
-        If the residual cannot be pushed below ``opts.tol``.
+        If the residual does not reach its floor within ``_MAX_ITERATIONS``
+        steps, or above the floor the Jacobian is singular or the line
+        search cannot reduce it.
     """
-    if opts is None:
-        opts = NewtonOptions()
     coeffs = model.coeffs
     if model.r <= 0:
         raise ValueError("solve_steady_state needs r > 0; at r = 0 the steady "
@@ -165,45 +174,44 @@ def solve_steady_state(
 
     residual = steady_residual(u, model, laplacian)
     res_norm = float(np.abs(residual).max())
-    for iteration in range(1, opts.max_iter + 1):
-        if res_norm <= opts.tol:
-            return SteadyState(
-                u=u, r=model.r, residual_norm=res_norm, newton_iterations=iteration - 1
-            )
-        slope = coeffs.p * eval_nonlinearity(u, order=1) - coeffs.delta
-        step = spsolve(laplacian.sparse(model.r * slope), -residual)
+    floor = _roundoff_floor(u, model, laplacian)
 
+    def failure(reason: str, iterations: int) -> NewtonConvergenceError:
+        return NewtonConvergenceError(
+            f"{reason}; residual {res_norm:.3e}, {res_norm / floor:.3g} x its "
+            f"roundoff floor (iteration {iterations}, r = {model.r:.6g})",
+            last_residual=res_norm, iterations=iterations,
+        )
+
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        slope = coeffs.p * eval_nonlinearity(u, order=1) - coeffs.delta
+        try:
+            step = splu(laplacian.sparse(model.r * slope)).solve(-residual)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            if res_norm > floor:
+                raise failure(f"Jacobian: {exc}", iteration) from None
+            step = np.zeros_like(u)  # no step to take, and none needed
         lam = 1.0
-        accepted = False
         for _ in range(60):
             u_try = u + lam * step
             if np.all(u_try > 0):
                 res_try = steady_residual(u_try, model, laplacian)
                 norm_try = float(np.abs(res_try).max())
-                # Plain Armijo on the residual norm; accept outright once
-                # below tol so roundoff near the floor cannot stall us.
-                if norm_try <= opts.tol or norm_try <= (1.0 - 1e-4 * lam) * res_norm:
-                    u, residual, res_norm = u_try, res_try, norm_try
-                    accepted = True
+                if norm_try <= max((1.0 - 1e-4 * lam) * res_norm, floor):
                     break
+            if res_norm <= floor:
+                return SteadyState(u=u, r=model.r, residual_norm=res_norm,
+                                   newton_iterations=iteration - 1)
             lam *= 0.5
-        if not accepted:
-            raise NewtonConvergenceError(
-                f"line search stalled at residual {res_norm:.3e} "
-                f"(iteration {iteration}, r = {model.r:.6g})",
-                last_residual=res_norm,
-                iterations=iteration,
-            )
-    if res_norm <= opts.tol:
-        return SteadyState(
-            u=u, r=model.r, residual_norm=res_norm, newton_iterations=opts.max_iter
-        )
-    raise NewtonConvergenceError(
-        f"no convergence in {opts.max_iter} iterations; residual {res_norm:.3e} "
-        f"(tol {opts.tol:.1e}, r = {model.r:.6g})",
-        last_residual=res_norm,
-        iterations=opts.max_iter,
-    )
+        else:
+            raise failure("line search stalled", iteration)
+        halved = lam == 1.0 and norm_try < 0.5 * res_norm
+        u, residual, res_norm = u_try, res_try, norm_try
+        floor = _roundoff_floor(u, model, laplacian)
+        if res_norm <= floor and not halved:
+            return SteadyState(u=u, r=model.r, residual_norm=res_norm,
+                               newton_iterations=iteration)
+    raise failure(f"no convergence in {_MAX_ITERATIONS} iterations", _MAX_ITERATIONS)
 
 
 def write_steady_csv(path, grid: Grid1D, steady: SteadyState) -> None:

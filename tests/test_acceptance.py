@@ -31,7 +31,7 @@ from nicholson.normalform import (
     zero_mode_correction,
 )
 from nicholson.simulate import estimate_period, simulate_pde
-from nicholson.steady import NewtonOptions, solve_steady_state
+from nicholson.steady import solve_steady_state
 
 FIG1_P = "10 + 1*sin(1*x + 0)"
 FIG2_P = "30 + 1*sin(1*x + 0)"
@@ -329,18 +329,13 @@ def test_criterion_8_spectrum_vs_simulation():
 
 def test_criterion_9_numerical_hygiene(tmp_path):
     # grid convergence of the steady solver at second order
-    fine = NewtonOptions(tol=1e-8)
-    reference = solve_steady_state(
-        _model(FIG2_P, _grid(1201), r=1e-2), opts=fine
-    ).u
+    reference = solve_steady_state(_model(FIG2_P, _grid(1201), r=1e-2)).u
     # the coarsest grids keep the finite resolution of the reference from
     # contaminating the ratios (at 601 vs 1201 it would inflate them to 5)
     errors = []
     for n in (76, 151, 301):
         stride = 1200 // (n - 1)
-        u = solve_steady_state(
-            _model(FIG2_P, _grid(n), r=1e-2), opts=fine
-        ).u
+        u = solve_steady_state(_model(FIG2_P, _grid(n), r=1e-2)).u
         errors.append(np.abs(u - reference[::stride]).max())
     grid_ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     grid_ok = all(3.0 <= ratio <= 5.0 for ratio in grid_ratios)

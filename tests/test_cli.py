@@ -275,6 +275,24 @@ class TestTaskRuns:
         snaps = list(out.glob("snapshot_*.csv"))
         assert snaps
 
+    def test_snapshot_names_are_unique(self, tmp_path, fig2_config):
+        # t = 1000 and the final t = 1000.005 agree to 6 digits; the file
+        # names carry the 12 of the CSV cells
+        out = tmp_path / "snap-out"
+        code = main([
+            "simulate", "--config", str(fig2_config), "--out", str(out),
+            "--grid", "11", "--set", "task.t_end=1000.001",
+            "--set", "task.snapshot_stride=200000", "--set", "task.dt=5e-3",
+        ])
+        assert code == 0
+        snaps = {path.name for path in out.glob("snapshot_*.csv")}
+        assert snaps == {"snapshot_0.csv", "snapshot_1000.csv",
+                         "snapshot_1000.005.csv"}
+        listed = [line for line in (out / "manifest.txt").read_text().splitlines()
+                  if not line.startswith("#")]
+        assert len(listed) == len(set(listed))
+        assert snaps <= set(listed)
+
     def test_average_dde_task(self, tmp_path, fig2_config):
         out = tmp_path / "dde-out"
         code = main([

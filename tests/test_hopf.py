@@ -201,6 +201,52 @@ class TestContinuation:
             continue_hopf(fig1_model.with_r(1e-2), 1e-2)
 
 
+class TestStoppingRule:
+    def test_newton_steps_do_not_grow_with_n(self, monkeypatch):
+        # each residual block is judged against its own roundoff floor, so
+        # a continuation step costs the same number of solves on every grid
+        real_solve = hopf_module._bordered_solve
+        solves = []
+        monkeypatch.setattr(hopf_module, "_bordered_solve",
+                            lambda *args: solves.append(1) or real_solve(*args))
+        counts = {}
+        for n in (201, 601, 1201, 4801):
+            solves.clear()
+            grid = Grid1D(length=3.0, n_points=n)
+            sol = continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+            counts[n] = len(solves) - 1  # less the Poisson solve of the limit
+            assert sol.residual_norm < 1e-9
+        assert len(set(counts.values())) == 1, counts
+        assert counts[201] <= 3
+
+    def test_mesh_convergence_is_second_order(self):
+        # successive differences over doubling grids shrink 4x; a stopping
+        # rule looser than the discretization error would break the ratios
+        # on the finest grids first
+        values = []
+        for n in (301, 601, 1201, 2401, 4801):
+            grid = Grid1D(length=3.0, n_points=n)
+            sol = continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+            values.append((sol.theta, sol.omega))
+        diffs = np.diff(np.array(values), axis=0)
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((3.8 <= ratios) & (ratios <= 4.2)), ratios
+
+    def test_stall_names_the_first_failure(self, monkeypatch, fig2_model):
+        def failing(state, model, u, laplacian):
+            raise hopf_module._HopfNewtonFailure(f"forced failure at {model.r:.6g}")
+
+        monkeypatch.setattr(hopf_module, "_hopf_newton", failing)
+        with pytest.raises(hopf_module.ContinuationStallError) as info:
+            continue_hopf(fig2_model, 1e-2)
+        error = info.value
+        assert error.last_good_r == 0.0
+        assert error.first_failure == "at r = 0.01: forced failure at 0.01"
+        message = str(error)
+        assert "first failure at r = 0.01: forced failure at 0.01" in message
+        assert "last failure at r = " in message
+
+
 class TestCharacteristicOperator:
     def test_crossing_eigenfunction_in_kernel(self, fig2_branch):
         # psi must solve the characteristic system at mu = i nu for every

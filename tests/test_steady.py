@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
+import nicholson.steady as steady_module
 from nicholson.grid import Grid1D
-from nicholson.model import CoefficientSpec, ModelParams, build_coefficients
+from nicholson.model import (
+    CoefficientSpec, ModelParams, build_coefficients, eval_nonlinearity,
+)
 from nicholson.steady import (
     NewtonConvergenceError,
-    NewtonOptions,
     assemble_laplacian,
     solve_steady_state,
     steady_residual,
@@ -19,11 +22,6 @@ from nicholson.steady import (
 )
 
 from conftest import constant_model, figure_model
-
-# Finite-difference residual floor scales like eps/h^2, so fine grids
-# cannot hit the default 1e-10 tolerance; see NewtonOptions.
-FINE = NewtonOptions(tol=1e-8)
-
 
 class TestLaplacian:
     def test_row_sums_vanish_exactly(self):
@@ -104,14 +102,12 @@ class TestGridConvergence:
         # errors against a fine reference must shrink 4x per halving
         reference_grid = Grid1D(length=3.0, n_points=1201)
         reference = solve_steady_state(
-            figure_model("fig2", reference_grid, r=10.0), opts=FINE
+            figure_model("fig2", reference_grid, r=10.0)
         )
         errors = {}
         for n in (151, 301, 601):
             grid = Grid1D(length=3.0, n_points=n)
-            steady = solve_steady_state(
-                figure_model("fig2", grid, r=10.0), opts=FINE
-            )
+            steady = solve_steady_state(figure_model("fig2", grid, r=10.0))
             stride = 1200 // (n - 1)
             shared = reference.u[::stride]
             errors[n] = np.abs(steady.u - shared).max()
@@ -121,7 +117,76 @@ class TestGridConvergence:
         assert ratio_2 == pytest.approx(4.0, rel=0.25)
 
 
+class TestStoppingRule:
+    @pytest.mark.parametrize("r", [1e-2, 1e-4, 10.0])
+    def test_every_grid_converges_with_defaults(self, r):
+        # the residual is judged against its roundoff floor, which grows
+        # like 1/h^2: no fixed tolerance would serve n = 201 and 4801 both
+        iterations = {}
+        for n in (201, 801, 1201, 4801):
+            model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=r)
+            steady = solve_steady_state(model)
+            floor = steady_module._roundoff_floor(
+                steady.u, model, assemble_laplacian(model.grid))
+            assert steady.residual_norm <= floor
+            iterations[n] = steady.newton_iterations
+        assert max(iterations.values()) <= iterations[201], iterations
+
+    @pytest.mark.parametrize("n, r", [(1201, 1e-3), (4801, 1e-6)])
+    def test_matches_extended_precision_refinement(self, n, r):
+        # the constant mode is damped only like r, so a smooth residual far
+        # below the floor still moves the mean of u by residual / r; Newton
+        # corrections from residuals summed in long double show what is left
+        model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=r)
+        lap = assemble_laplacian(model.grid)
+        u = solve_steady_state(model).u
+        wide = u.astype(np.longdouble)
+        p = model.coeffs.p.astype(np.longdouble)
+        delta = model.coeffs.delta.astype(np.longdouble)
+        for _ in range(3):
+            residual = lap.main * wide
+            residual[:-1] += lap.upper * wide[1:]
+            residual[1:] += lap.lower * wide[:-1]
+            residual += r * (p * wide * np.exp(-wide) - delta * wide)
+            slope = model.coeffs.p * eval_nonlinearity(wide.astype(float), order=1)
+            jacobian = lap.sparse(r * (slope - model.coeffs.delta))
+            wide -= spsolve(jacobian, residual.astype(float))
+        assert np.abs(u - wide).max() < 1e-14
+
+    def test_floor_tracks_the_laplacian_scale(self):
+        # 4 eps (4 u / h^2 + r (p f(u) + delta u)) at the largest node
+        coarse = figure_model("fig2", Grid1D(length=3.0, n_points=101), r=1e-2)
+        fine = figure_model("fig2", Grid1D(length=3.0, n_points=1001), r=1e-2)
+        floors = [
+            steady_module._roundoff_floor(
+                np.full(m.grid.n_points, 2.0), m, assemble_laplacian(m.grid))
+            for m in (coarse, fine)
+        ]
+        assert floors[1] / floors[0] == pytest.approx(100.0, rel=1e-3)
+        expected = 4 * np.finfo(float).eps * 8.0 / coarse.grid.spacing**2
+        assert floors[0] == pytest.approx(expected, rel=1e-3)
+
+    def test_exact_start_stops_at_once(self):
+        # at u = c0 with constant coefficients the residual is roundoff:
+        # one step clears it, and the next cannot halve a zero
+        grid = Grid1D(length=3.0, n_points=4801)
+        steady = solve_steady_state(constant_model(2.5, grid, r=1e-2))
+        assert steady.newton_iterations <= 2
+        assert np.abs(steady.u - 2.5).max() < 1e-12
+
+
 class TestErrorPaths:
+    def test_singular_jacobian(self, fig2_model):
+        # at r = 1e-20 the reaction shift vanishes against 2/h^2, leaving
+        # the Neumann Laplacian, singular on constants: a curved start
+        # cannot move, while every constant is already at the floor
+        x = fig2_model.grid.nodes
+        curved = 1.0 + 0.5 * np.cos(np.pi * x / fig2_model.grid.length)
+        with pytest.raises(NewtonConvergenceError, match="singular"):
+            solve_steady_state(fig2_model.with_r(1e-20), u0=curved)
+        steady = solve_steady_state(fig2_model.with_r(1e-20))
+        assert np.all(steady.u == fig2_model.coeffs.c0)
+
     def test_rejects_nonpositive_r(self, fig1_model):
         with pytest.raises(ValueError, match="r"):
             solve_steady_state(fig1_model.with_r(0.0))
@@ -135,14 +200,11 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="c0"):
             solve_steady_state(model)
 
-    def test_iteration_cap_raises(self, fig1_model):
+    def test_iteration_cap_raises(self, fig1_model, monkeypatch):
         n = fig1_model.grid.n_points
+        monkeypatch.setattr(steady_module, "_MAX_ITERATIONS", 1)
         with pytest.raises(NewtonConvergenceError) as info:
-            solve_steady_state(
-                fig1_model,
-                opts=NewtonOptions(tol=1e-10, max_iter=1),
-                u0=np.full(n, 20.0),
-            )
+            solve_steady_state(fig1_model, u0=np.full(n, 20.0))
         assert info.value.iterations == 1
         assert info.value.last_residual > 0
 
