@@ -12,7 +12,7 @@ and self-adjoint with respect to the trapezoid quadrature weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csc_matrix, diags
@@ -147,6 +147,13 @@ def solve_steady_state(
     smooth part, invisible in the max norm, that the next step removes and
     that the constant mode, damped only like r, would amplify into u.
 
+    When c0 is small next to the heterogeneity, the positive solution can
+    exceed twice c0 and Newton from c0 slides to the zero solution.  If the
+    default start fails, the solve starts again from the constant
+    M = max log(p / delta), a supersolution.  For M <= 2, f is concave on
+    [0, M] and Newton from M descends monotonically to the positive solution.
+    ``newton_iterations`` then counts the steps of both attempts.
+
     Raises
     ------
     ValueError
@@ -167,11 +174,28 @@ def solve_steady_state(
         )
     if laplacian is None:
         laplacian = assemble_laplacian(model.grid)
+    if u0 is not None:
+        u = np.array(u0, dtype=float)
+        if not np.all(u > 0):
+            raise ValueError("initial guess must be strictly positive")
+        return _newton(model, u, laplacian)
 
-    u = np.full(model.grid.n_points, coeffs.c0) if u0 is None else np.array(u0, dtype=float)
-    if not np.all(u > 0):
-        raise ValueError("initial guess must be strictly positive")
+    n = model.grid.n_points
+    try:
+        return _newton(model, np.full(n, coeffs.c0), laplacian)
+    except NewtonConvergenceError as from_c0:
+        supersolution = float(np.log(np.max(coeffs.p / coeffs.delta)))
+        if not supersolution > coeffs.c0:  # constant coefficients: same start
+            raise
+        steady = _newton(model, np.full(n, supersolution), laplacian)
+        return replace(steady, newton_iterations=from_c0.iterations
+                       + steady.newton_iterations)
 
+
+def _newton(model: ModelParams, u: np.ndarray,
+            laplacian: DiscreteLaplacian) -> SteadyState:
+    """The damped Newton iteration of :func:`solve_steady_state` from ``u``."""
+    coeffs = model.coeffs
     residual = steady_residual(u, model, laplacian)
     res_norm = float(np.abs(residual).max())
     floor = _roundoff_floor(u, model, laplacian)

@@ -227,6 +227,24 @@ class TestPositivityProperty:
         steady = solve_steady_state(model)
         assert steady.u.min() > 0
 
+    def test_small_c0_does_not_slide_to_zero(self):
+        # c0 = 0.0053 while the positive solution lies near 0.008-0.014:
+        # Newton from c0 heads for u = 0, so the solve restarts from the
+        # supersolution max log(p / delta)
+        grid = Grid1D(length=3.0, n_points=101)
+        coeffs = build_coefficients(
+            CoefficientSpec.sinusoid(2.625, 0.5, 1.0, kind="sin"),
+            CoefficientSpec.sinusoid(2.0, 1.0, 0.2, kind="cos"),
+            grid,
+        )
+        model = ModelParams(r=3.0, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
+        steady = solve_steady_state(model)
+        assert steady.u.min() > coeffs.c0
+        supersolution = np.log(np.max(coeffs.p / coeffs.delta))
+        from_above = solve_steady_state(
+            model, u0=np.full(grid.n_points, supersolution))
+        assert np.abs(steady.u - from_above.u).max() < 1e-14
+
 
 class TestCsv:
     def test_format_and_determinism(self, tmp_path, fig1_model):
