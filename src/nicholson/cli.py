@@ -190,10 +190,11 @@ def _task_normalform(config: RunConfig, out: Path) -> tuple[list[str], list[str]
         sol = _continuation(config)
     except NoHopfError:
         return [_no_hopf_line(model.coeffs.c0)], []
-    reports = [
-        _call("normalform.normal_form_report", normal_form_report, sol, n)
-        for n in range(n_max + 1)
-    ]
+    reports = []
+    for n in range(n_max + 1):  # the correction fields do not depend on n
+        reuse = (reports[0].second_harmonic, reports[0].zero_mode) if reports else ()
+        reports.append(_call("normalform.normal_form_report", normal_form_report,
+                             sol, n, *reuse))
     path = out / "normalform.csv"
     write_normalform_csv(path, sol, reports)
     summary = [f"c0 = {model.coeffs.c0:.12g}", f"r = {sol.r:.12g}"]

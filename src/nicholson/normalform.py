@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .hopf import (
     TWO_PI,
@@ -88,50 +89,46 @@ def _solve_shifted(sol: HopfSolution, mu: complex, tau: float, rhs: np.ndarray,
                    label: str) -> np.ndarray:
     """Solve the shifted eigenvalue system with a conditioning guard.
 
-    One pass of iterative refinement keeps the relative residual near
-    roundoff even though the matrix is within O(r) of singular.
+    One LU factor (``zgetrf``) serves the guard, LAPACK's 1-norm estimate
+    ``1/rcond`` (``zgecon``; refused above 1e12 or at a zero pivot), the solve
+    and one refinement pass, which holds the residual near roundoff.
     """
     matrix = characteristic_matrix(sol.model, sol.u, mu, tau)
-    condition = np.linalg.cond(matrix)
-    if not np.isfinite(condition) or condition > 1e12:
+    lu, piv, info = zgetrf(matrix)
+    rcond = zgecon(lu, np.linalg.norm(matrix, 1))[0] if info == 0 else 0.0
+    if not rcond >= 1e-12:
         raise ResonanceError(
             f"{label}: shifted solve at mu = {mu:.6g} is near-singular "
-            f"(condition estimate {condition:.3e})"
+            f"(condition estimate {1.0 / rcond if rcond > 0 else math.inf:.3e})"
         )
-    solution = np.linalg.solve(matrix, rhs)
-    solution += np.linalg.solve(matrix, rhs - matrix @ solution)
-    return solution
+    solution = zgetrs(lu, piv, rhs)[0]
+    return solution + zgetrs(lu, piv, rhs - matrix @ solution)[0]
 
 
 def second_harmonic_correction(sol: HopfSolution, n: int = 0) -> np.ndarray:
     """Center-manifold correction at twice the crossing frequency.
 
-    Solves the shifted system at mu = 2 i nu and returns
-    ``-r e^{-2 i nu tau_n} * solve(p f''(u_r) psi^2)``.  For small r the
-    field is close to the constant ``c0 * limit_second_harmonic_ratio(c0)``.
+    Returns ``-r e^{-2 i nu tau_n} * solve(p f''(u_r) psi^2)`` at mu = 2 i nu;
+    as ``e^{-2 i nu tau_n} = e^{-2 i theta}``, the field does not depend on n.
+    Small-r limit: the constant ``c0 * limit_second_harmonic_ratio(c0)``.
     """
     tau_n = _tau_n(sol, n)
     coeffs = sol.model.coeffs
     rhs = coeffs.p * eval_nonlinearity(sol.u, order=2) * sol.psi**2
-    solution = _solve_shifted(
-        sol, 2j * sol.nu, tau_n, rhs.astype(complex), "second_harmonic_correction"
-    )
-    return -sol.r * np.exp(-2j * sol.nu * tau_n) * solution
+    return -sol.r * np.exp(-2j * sol.nu * tau_n) * _solve_shifted(
+        sol, 2j * sol.nu, tau_n, rhs, "second_harmonic_correction")
 
 
 def zero_mode_correction(sol: HopfSolution, n: int = 0) -> np.ndarray:
     """Zero-frequency center-manifold correction.
 
-    Solves the unshifted system (mu = 0) against ``p f''(u_r) |psi|^2``;
-    the small-r limit of the field is the constant c0 (c0 - 2).
+    Solves the mu = 0 system against ``p f''(u_r) |psi|^2``: no delay factor,
+    so no dependence on n.  The small-r limit is the constant c0 (c0 - 2).
     """
     tau_n = _tau_n(sol, n)
     coeffs = sol.model.coeffs
     rhs = coeffs.p * eval_nonlinearity(sol.u, order=2) * np.abs(sol.psi) ** 2
-    solution = _solve_shifted(
-        sol, 0.0 + 0.0j, tau_n, rhs.astype(complex), "zero_mode_correction"
-    )
-    return -sol.r * solution
+    return -sol.r * _solve_shifted(sol, 0.0 + 0.0j, tau_n, rhs, "zero_mode_correction")
 
 
 def normal_form_coefficients(
@@ -231,11 +228,19 @@ def bifurcation_verdict(c1: complex, dmu: complex, n: int = 0):
     return mu2, direction, orbit_stability, note
 
 
-def normal_form_report(sol: HopfSolution, n: int = 0) -> NormalFormReport:
-    """Full normal-form evaluation at the n-th threshold of a crossing."""
+def normal_form_report(sol: HopfSolution, n: int = 0,
+                       second_harmonic: np.ndarray | None = None,
+                       zero_mode: np.ndarray | None = None) -> NormalFormReport:
+    """Full normal-form evaluation at the n-th threshold of a crossing.
+
+    ``second_harmonic`` and ``zero_mode`` are computed when not supplied;
+    neither depends on n, so one report's fields serve every threshold.
+    """
     tau_n = _tau_n(sol, n)
-    second_harmonic = second_harmonic_correction(sol, n)
-    zero_mode = zero_mode_correction(sol, n)
+    if second_harmonic is None:
+        second_harmonic = second_harmonic_correction(sol, n)
+    if zero_mode is None:
+        zero_mode = zero_mode_correction(sol, n)
     g = normal_form_coefficients(sol, n, second_harmonic, zero_mode)
     c1 = first_lyapunov_coefficient(g, sol.nu, tau_n)
     dmu = transversality(sol, n)

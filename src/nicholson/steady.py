@@ -148,10 +148,10 @@ def solve_steady_state(
     that the constant mode, damped only like r, would amplify into u.
 
     When c0 is small next to the heterogeneity, the positive solution can
-    exceed twice c0 and Newton from c0 slides to the zero solution.  If the
-    default start fails, the solve starts again from the constant
-    M = max log(p / delta), a supersolution.  For M <= 2, f is concave on
-    [0, M] and Newton from M descends monotonically to the positive solution.
+    exceed twice c0 and Newton from c0 slides to the zero solution.  If two
+    steps in a row halve max(u) above the floor, or the start fails otherwise,
+    the solve restarts from the supersolution M = max log(p / delta).  For
+    M <= 2, f is concave on [0, M] and Newton from M descends monotonically.
     ``newton_iterations`` then counts the steps of both attempts.
 
     Raises
@@ -182,7 +182,7 @@ def solve_steady_state(
 
     n = model.grid.n_points
     try:
-        return _newton(model, np.full(n, coeffs.c0), laplacian)
+        return _newton(model, np.full(n, coeffs.c0), laplacian, stop_sliding=True)
     except NewtonConvergenceError as from_c0:
         supersolution = float(np.log(np.max(coeffs.p / coeffs.delta)))
         if not supersolution > coeffs.c0:  # constant coefficients: same start
@@ -192,10 +192,11 @@ def solve_steady_state(
                        + steady.newton_iterations)
 
 
-def _newton(model: ModelParams, u: np.ndarray,
-            laplacian: DiscreteLaplacian) -> SteadyState:
+def _newton(model: ModelParams, u: np.ndarray, laplacian: DiscreteLaplacian,
+            stop_sliding: bool = False) -> SteadyState:
     """The damped Newton iteration of :func:`solve_steady_state` from ``u``."""
     coeffs = model.coeffs
+    slides = 0
     residual = steady_residual(u, model, laplacian)
     res_norm = float(np.abs(residual).max())
     floor = _roundoff_floor(u, model, laplacian)
@@ -230,11 +231,14 @@ def _newton(model: ModelParams, u: np.ndarray,
         else:
             raise failure("line search stalled", iteration)
         halved = lam == 1.0 and norm_try < 0.5 * res_norm
+        slides = slides + 1 if u_try.max() <= 0.5 * u.max() else 0
         u, residual, res_norm = u_try, res_try, norm_try
         floor = _roundoff_floor(u, model, laplacian)
         if res_norm <= floor and not halved:
             return SteadyState(u=u, r=model.r, residual_norm=res_norm,
                                newton_iterations=iteration)
+        if stop_sliding and slides >= 2 and res_norm > floor:
+            raise failure("sliding to the zero solution", iteration)
     raise failure(f"no convergence in {_MAX_ITERATIONS} iterations", _MAX_ITERATIONS)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nicholson import cli
+from nicholson import cli, normalform
 from nicholson.cli import main
 from nicholson.config import (
     TASKS,
@@ -19,7 +19,12 @@ from nicholson.config import (
     option_int,
     parse_overrides,
 )
-from nicholson.hopf import ContinuationStallError
+from nicholson.hopf import (
+    ContinuationStallError,
+    characteristic_matrix,
+    continue_hopf,
+)
+from nicholson.normalform import normal_form_report, write_normalform_csv
 
 FIG2_CONFIG = """\
 [model]
@@ -257,6 +262,30 @@ class TestTaskRuns:
             float(summary["n0_Re_C1"]), rel=0.05
         )
         assert (out / "normalform.csv").exists()
+
+    def test_normalform_factors_once_per_crossing(self, tmp_path, fig2_config,
+                                                  monkeypatch):
+        # the two correction fields do not depend on n: a run over three
+        # thresholds builds each shifted matrix once and writes the same
+        # table as three independent reports
+        config = load_config(fig2_config)
+        sol = continue_hopf(config.model, config.model.r)
+        reference = tmp_path / "reference.csv"
+        write_normalform_csv(reference, sol,
+                             [normal_form_report(sol, n) for n in range(3)])
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[2])
+            return characteristic_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(normalform, "characteristic_matrix", counted)
+        out = tmp_path / "nf-out"
+        code = main(["normalform", "--config", str(fig2_config),
+                     "--set", "task.n_max=2", "--out", str(out)])
+        assert code == 0
+        assert len(built) == 2
+        assert (out / "normalform.csv").read_bytes() == reference.read_bytes()
 
     def test_simulate_task(self, tmp_path, fig2_config):
         out = tmp_path / "sim-out"

@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zgecon
 from scipy.optimize import brentq
 
+from nicholson import normalform
 from nicholson.grid import Grid1D
-from nicholson.hopf import HopfSolution, continue_hopf, limit_phase
+from nicholson.hopf import (
+    HopfSolution,
+    characteristic_matrix,
+    continue_hopf,
+    limit_phase,
+)
 from nicholson.model import (
     CoefficientSpec,
     ModelParams,
@@ -32,7 +39,7 @@ from nicholson.normalform import (
     zero_mode_correction,
 )
 
-from conftest import constant_model
+from conftest import FIG_LENGTH, constant_model, figure_model
 
 import oracles
 
@@ -285,6 +292,61 @@ class TestResonanceGuard:
         )
         with pytest.raises(ResonanceError, match="near-singular"):
             zero_mode_correction(rigged, 0)
+
+    def test_singular_factor_raises_before_estimate(self, fig2_branch,
+                                                     monkeypatch):
+        # an all-zero column leaves an exactly zero pivot: the guard must
+        # refuse it before the condition estimate or the solve sees the factor
+        def zero_column(model, u, mu, tau):
+            matrix = characteristic_matrix(model, u, mu, tau)
+            matrix[:, 7] = 0.0
+            return matrix
+
+        def unreachable(*args):
+            raise AssertionError("singular factor passed on")
+
+        monkeypatch.setattr(normalform, "characteristic_matrix", zero_column)
+        monkeypatch.setattr(normalform, "zgecon", unreachable)
+        monkeypatch.setattr(normalform, "zgetrs", unreachable)
+        sol = fig2_branch[1e-2]
+        for correction in (second_harmonic_correction, zero_mode_correction):
+            with pytest.raises(ResonanceError,
+                               match=r"near-singular \(condition estimate inf\)"):
+                correction(sol, 0)
+
+
+class TestShiftedSolve:
+    @pytest.mark.parametrize("n_points", [201, 601])
+    def test_estimate_tracks_two_norm_condition(self, n_points, monkeypatch):
+        # the 1e12 guard was set against the 2-norm condition number; the
+        # LAPACK 1-norm estimate must stay within a small factor of it
+        model = figure_model("fig2", Grid1D(length=FIG_LENGTH,
+                                            n_points=n_points), r=1e-2)
+        sol = continue_hopf(model, 1e-2)
+        estimates = []
+
+        def spy(lu, anorm):
+            rcond, info = zgecon(lu, anorm)
+            estimates.append(1.0 / rcond)
+            return rcond, info
+
+        monkeypatch.setattr(normalform, "zgecon", spy)
+        second_harmonic_correction(sol, 0)
+        zero_mode_correction(sol, 0)
+        tau_0 = sol.theta / sol.nu
+        assert len(estimates) == 2
+        for estimate, mu in zip(estimates, (2j * sol.nu, 0.0)):
+            condition = np.linalg.cond(
+                characteristic_matrix(sol.model, sol.u, mu, tau_0))
+            assert condition / 4 <= estimate <= 4 * condition
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_corrections_do_not_depend_on_threshold(self, fig2_branch, n):
+        sol = fig2_branch[1e-2]
+        for correction in (second_harmonic_correction, zero_mode_correction):
+            at_zero = correction(sol, 0)
+            gap = np.abs(correction(sol, n) - at_zero).max()
+            assert gap <= 1e-13 * np.abs(at_zero).max()
 
 
 class TestReportCsv:

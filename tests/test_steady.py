@@ -229,7 +229,8 @@ class TestPositivityProperty:
 
     def test_small_c0_does_not_slide_to_zero(self):
         # c0 = 0.0053 while the positive solution lies near 0.008-0.014:
-        # Newton from c0 heads for u = 0, so the solve restarts from the
+        # Newton from c0 heads for u = 0, halving max(u) at every step; it
+        # is abandoned after two such steps and the solve restarts from the
         # supersolution max log(p / delta)
         grid = Grid1D(length=3.0, n_points=101)
         coeffs = build_coefficients(
@@ -240,6 +241,7 @@ class TestPositivityProperty:
         model = ModelParams(r=3.0, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
         steady = solve_steady_state(model)
         assert steady.u.min() > coeffs.c0
+        assert steady.newton_iterations <= 15
         supersolution = np.log(np.max(coeffs.p / coeffs.delta))
         from_above = solve_steady_state(
             model, u0=np.full(grid.n_points, supersolution))
