@@ -55,15 +55,13 @@ class SolvabilityError(ValueError):
 class ContinuationStallError(RuntimeError):
     """Continuation could not advance past ``last_good_r``.
 
-    ``first_failure`` is the text of the first step that failed from there,
-    at the largest step size: usually the real cause.
+    The message names the r that failed, the solver (steady or Hopf Newton)
+    and its own text; the solver's exception is chained as ``__cause__``.
     """
 
-    def __init__(self, message: str, last_good_r: float,
-                 first_failure: str | None = None):
+    def __init__(self, message: str, last_good_r: float):
         super().__init__(message)
         self.last_good_r = last_good_r
-        self.first_failure = first_failure
 
 
 class SimplicityWarning(UserWarning):
@@ -420,7 +418,7 @@ def continue_hopf(
     Predictor-corrector continuation in max(1, ceil(r_target / 0.025))
     equal steps: at each step the steady state is re-solved (warm started)
     and the crossing system is Newton-corrected from the previous solution.
-    Failed steps are halved; the step recovers geometrically after success.
+    The first step that fails ends the continuation; no step is retried.
     ``r_target = 0`` returns the closed-form limit packaged as a
     :class:`HopfSolution`.
 
@@ -440,7 +438,7 @@ def continue_hopf(
     NoHopfError
         If c0 <= 2.
     ContinuationStallError
-        If step halving cannot advance; carries ``last_good_r`` and ``first_failure``.
+        At the first steady or Hopf Newton failure; carries ``last_good_r``.
     """
     coeffs = model.coeffs
     grid = model.grid
@@ -456,38 +454,24 @@ def continue_hopf(
     state = (np.array(limit.z, dtype=complex), limit.beta, limit.omega, limit.theta)
     u_prev = np.full(grid.n_points, coeffs.c0)
 
-    base_step = r_target / max(1, math.ceil(r_target / _CONTINUATION_STEP))
-    step = base_step
+    step = r_target / max(1, math.ceil(r_target / _CONTINUATION_STEP))
     r_current = 0.0
-    failures = 0
-    first_failure = None
     while r_current < r_target * (1.0 - 1e-15):
         r_next = min(r_current + step, r_target)
         model_next = model.with_r(r_next)
         try:
             steady = solve_steady_state(model_next, u0=u_prev, laplacian=laplacian)
-            state_next, res_norm = _hopf_newton(
-                state, model_next, steady.u, laplacian
-            )
+            state, _ = _hopf_newton(state, model_next, steady.u, laplacian)
         except (NewtonConvergenceError, _HopfNewtonFailure) as exc:
-            failures += 1
-            step *= 0.5
-            failure = f"at r = {r_next:.6g}: {exc}"
-            first_failure = first_failure or failure
-            if failures > 40 or step < 1e-13 * r_target:
-                raise ContinuationStallError(
-                    f"continuation stalled at r = {r_current:.6g} "
-                    f"targeting {r_target:.6g}; first failure {first_failure}; "
-                    f"last failure {failure}",
-                    last_good_r=r_current,
-                    first_failure=first_failure,
-                ) from None
-            continue
-        first_failure = None
+            solver = "steady" if isinstance(exc, NewtonConvergenceError) else "Hopf"
+            raise ContinuationStallError(
+                f"continuation toward r = {r_target:.6g} failed at r = "
+                f"{r_next:.6g} (last good r = {r_current:.6g}); {solver} "
+                f"Newton: {exc}",
+                last_good_r=r_current,
+            ) from exc
         r_current = r_next
-        state = state_next
         u_prev = steady.u
-        step = min(2.0 * step, base_step)
 
     z, beta, omega, theta = state
     if beta < 0:

@@ -35,6 +35,14 @@ class NewtonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+class _SingularJacobian(NewtonConvergenceError):
+    """The Newton matrix is singular above the floor.
+
+    Where r is too small to pin the constant mode, every constant start
+    passes the floor as it is, so a retry from one would return a wrong u.
+    """
+
+
 @dataclass(frozen=True)
 class DiscreteLaplacian:
     """Tridiagonal Neumann Laplacian on a uniform grid.
@@ -148,10 +156,12 @@ def solve_steady_state(
     that the constant mode, damped only like r, would amplify into u.
 
     When c0 is small next to the heterogeneity, the positive solution can
-    exceed twice c0 and Newton from c0 slides to the zero solution.  If two
-    steps in a row halve max(u) above the floor, or the start fails otherwise,
-    the solve restarts from the supersolution M = max log(p / delta).  For
-    M <= 2, f is concave on [0, M] and Newton from M descends monotonically.
+    exceed twice c0 and Newton from c0, or from a poor ``u0``, slides to the
+    zero solution.  If two steps in a row halve max(u) above the floor, or
+    the start fails otherwise, the solve restarts from the supersolution
+    M = max log(p / delta); every start gets this guard and this retry, bar
+    a singular Jacobian (see :class:`_SingularJacobian`).  For M <= 2, f is
+    concave on [0, M] and Newton from M descends monotonically.
     ``newton_iterations`` then counts the steps of both attempts.
 
     Raises
@@ -174,26 +184,23 @@ def solve_steady_state(
         )
     if laplacian is None:
         laplacian = assemble_laplacian(model.grid)
-    if u0 is not None:
-        u = np.array(u0, dtype=float)
-        if not np.all(u > 0):
-            raise ValueError("initial guess must be strictly positive")
-        return _newton(model, u, laplacian)
-
     n = model.grid.n_points
+    u = np.full(n, coeffs.c0) if u0 is None else np.array(u0, dtype=float)
+    if not np.all(u > 0):
+        raise ValueError("initial guess must be strictly positive")
     try:
-        return _newton(model, np.full(n, coeffs.c0), laplacian, stop_sliding=True)
-    except NewtonConvergenceError as from_c0:
+        return _newton(model, u, laplacian)
+    except _SingularJacobian:
+        raise
+    except NewtonConvergenceError as first:
         supersolution = float(np.log(np.max(coeffs.p / coeffs.delta)))
-        if not supersolution > coeffs.c0:  # constant coefficients: same start
-            raise
         steady = _newton(model, np.full(n, supersolution), laplacian)
-        return replace(steady, newton_iterations=from_c0.iterations
+        return replace(steady, newton_iterations=first.iterations
                        + steady.newton_iterations)
 
 
-def _newton(model: ModelParams, u: np.ndarray, laplacian: DiscreteLaplacian,
-            stop_sliding: bool = False) -> SteadyState:
+def _newton(model: ModelParams, u: np.ndarray,
+            laplacian: DiscreteLaplacian) -> SteadyState:
     """The damped Newton iteration of :func:`solve_steady_state` from ``u``."""
     coeffs = model.coeffs
     slides = 0
@@ -201,8 +208,9 @@ def _newton(model: ModelParams, u: np.ndarray, laplacian: DiscreteLaplacian,
     res_norm = float(np.abs(residual).max())
     floor = _roundoff_floor(u, model, laplacian)
 
-    def failure(reason: str, iterations: int) -> NewtonConvergenceError:
-        return NewtonConvergenceError(
+    def failure(reason: str, iterations: int, kind: type = NewtonConvergenceError
+                ) -> NewtonConvergenceError:
+        return kind(
             f"{reason}; residual {res_norm:.3e}, {res_norm / floor:.3g} x its "
             f"roundoff floor (iteration {iterations}, r = {model.r:.6g})",
             last_residual=res_norm, iterations=iterations,
@@ -214,7 +222,8 @@ def _newton(model: ModelParams, u: np.ndarray, laplacian: DiscreteLaplacian,
             step = splu(laplacian.sparse(model.r * slope)).solve(-residual)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             if res_norm > floor:
-                raise failure(f"Jacobian: {exc}", iteration) from None
+                raise failure(f"Jacobian: {exc}", iteration,
+                              _SingularJacobian) from None
             step = np.zeros_like(u)  # no step to take, and none needed
         lam = 1.0
         for _ in range(60):
@@ -237,7 +246,7 @@ def _newton(model: ModelParams, u: np.ndarray, laplacian: DiscreteLaplacian,
         if res_norm <= floor and not halved:
             return SteadyState(u=u, r=model.r, residual_norm=res_norm,
                                newton_iterations=iteration)
-        if stop_sliding and slides >= 2 and res_norm > floor:
+        if slides >= 2 and res_norm > floor:
             raise failure("sliding to the zero solution", iteration)
     raise failure(f"no convergence in {_MAX_ITERATIONS} iterations", _MAX_ITERATIONS)
 

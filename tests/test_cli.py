@@ -377,6 +377,39 @@ class TestTaskRuns:
         summary = read_summary(out)
         assert summary["stalled"] == "1"
 
+    def test_sweep_real_stall_isolated_to_row(self, tmp_path, fig2_config,
+                                              monkeypatch, capsys):
+        # the Hopf Newton itself fails past r = 0.05: the 0.1 row stalls
+        # at its third step, the rows that stay below run to the end
+        import nicholson.hopf as hopf_module
+
+        real_newton = hopf_module._hopf_newton
+
+        def failing_above(state, model, u, laplacian):
+            if model.r > 0.05:
+                raise hopf_module._HopfNewtonFailure("forced failure")
+            return real_newton(state, model, u, laplacian)
+
+        monkeypatch.setattr(hopf_module, "_hopf_newton", failing_above)
+        out = tmp_path / "real-stall-out"
+        code = main([
+            "sweep", "--config", str(fig2_config), "--out", str(out),
+            "--set", "task.r_list=0.1,0.05,0.01",
+        ])
+        assert code == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        statuses = [line.split(",")[-1] for line in lines[1:]]
+        assert statuses == ["STALL", "OK", "OK", "LIMIT"]
+        assert read_summary(out)["stalled"] == "1"
+
+        code = main(["hopf", "--config", str(fig2_config),
+                     "--out", str(tmp_path / "real-stall-hopf"),
+                     "--set", "model.r=0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "hopf.continue_hopf" in err
+        assert "at r = 0.075" in err and "forced failure" in err
+
     def test_reproduce_small_grid(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "repro-out"

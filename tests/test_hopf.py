@@ -232,19 +232,49 @@ class TestStoppingRule:
         ratios = diffs[:-1] / diffs[1:]
         assert np.all((3.8 <= ratios) & (ratios <= 4.2)), ratios
 
-    def test_stall_names_the_first_failure(self, monkeypatch, fig2_model):
+    def test_stall_names_the_first_failure(self, monkeypatch):
+        # the first failed step raises: one steady solve and one Hopf
+        # Newton, even on the finest grid, and the message carries the cause
+        calls = {"steady": 0, "hopf": 0}
+        real_steady = hopf_module.solve_steady_state
+
+        def steady(*args, **kwargs):
+            calls["steady"] += 1
+            return real_steady(*args, **kwargs)
+
         def failing(state, model, u, laplacian):
+            calls["hopf"] += 1
             raise hopf_module._HopfNewtonFailure(f"forced failure at {model.r:.6g}")
 
+        monkeypatch.setattr(hopf_module, "solve_steady_state", steady)
         monkeypatch.setattr(hopf_module, "_hopf_newton", failing)
+        grid = Grid1D(length=3.0, n_points=4801)
         with pytest.raises(hopf_module.ContinuationStallError) as info:
-            continue_hopf(fig2_model, 1e-2)
+            continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
         error = info.value
         assert error.last_good_r == 0.0
-        assert error.first_failure == "at r = 0.01: forced failure at 0.01"
         message = str(error)
-        assert "first failure at r = 0.01: forced failure at 0.01" in message
-        assert "last failure at r = " in message
+        assert "at r = 0.01" in message
+        assert "forced failure at 0.01" in message
+        assert isinstance(error.__cause__, hopf_module._HopfNewtonFailure)
+        assert calls == {"steady": 1, "hopf": 1}
+
+    @pytest.mark.parametrize("r_target, visited", [
+        (0.1, [0.025, 0.05, 0.075, 0.1]),
+        (0.01, [0.01]),
+    ])
+    def test_equal_steps(self, monkeypatch, fig2_model, r_target, visited):
+        # every run walks the same r values, so its outputs stay the same
+        seen = []
+        real_steady = hopf_module.solve_steady_state
+
+        def steady(model, *args, **kwargs):
+            seen.append(model.r)
+            return real_steady(model, *args, **kwargs)
+
+        monkeypatch.setattr(hopf_module, "solve_steady_state", steady)
+        continue_hopf(fig2_model, r_target)
+        assert seen == pytest.approx(visited, rel=1e-15)
 
 
 class TestCharacteristicOperator:

@@ -246,6 +246,10 @@ class TestPositivityProperty:
         from_above = solve_steady_state(
             model, u0=np.full(grid.n_points, supersolution))
         assert np.abs(steady.u - from_above.u).max() < 1e-14
+        # a given start gets the same guard and retry as the default one
+        given = solve_steady_state(model, u0=np.full(grid.n_points, coeffs.c0))
+        assert given.newton_iterations <= 15
+        assert np.abs(steady.u - given.u).max() < 1e-14
 
 
 class TestCsv:
