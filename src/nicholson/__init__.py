@@ -39,7 +39,6 @@ from .hopf import (
     SolvabilityError,
     ThresholdSequence,
     characteristic_matrix,
-    characteristic_residual,
     continue_hopf,
     hopf_thresholds,
     limit_hopf_data,
@@ -107,7 +106,6 @@ __all__ = [
     "SolvabilityError",
     "ThresholdSequence",
     "characteristic_matrix",
-    "characteristic_residual",
     "continue_hopf",
     "hopf_thresholds",
     "limit_hopf_data",

@@ -130,6 +130,13 @@ def _continuation(config: RunConfig):
     )
 
 
+def _n_max(config: RunConfig, default: int) -> int:
+    n_max = option_int(config, "n_max", default)
+    if n_max < 0:
+        raise ConfigError(f"task.n_max must be nonnegative, got {n_max}")
+    return n_max
+
+
 def _task_steady(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
     steady = _call("steady.solve_steady_state", solve_steady_state, model)
@@ -150,7 +157,7 @@ def _task_steady(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
 
 def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    n_max = option_int(config, "n_max", 3)
+    n_max = _n_max(config, 3)
     try:
         sol = _continuation(config)
     except NoHopfError:
@@ -185,7 +192,7 @@ def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
 
 def _task_normalform(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    n_max = option_int(config, "n_max", 0)
+    n_max = _n_max(config, 0)
     try:
         sol = _continuation(config)
     except NoHopfError:

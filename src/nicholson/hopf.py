@@ -157,7 +157,6 @@ class ThresholdSequence:
 def solve_poisson_meanzero(
     rhs: np.ndarray,
     grid: Grid1D,
-    laplacian: DiscreteLaplacian | None = None,
     scale: float | None = None,
 ) -> np.ndarray:
     """Solve Laplace(z) = rhs with Neumann boundaries and zero-mean z.
@@ -182,8 +181,6 @@ def solve_poisson_meanzero(
     SolvabilityError
         If the quadrature mean of rhs exceeds its roundoff bound.
     """
-    if laplacian is None:
-        laplacian = assemble_laplacian(grid)
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.size != grid.n_points:
         raise ValueError("rhs and grid sizes disagree")
@@ -198,7 +195,7 @@ def solve_poisson_meanzero(
             f"{abs(mean) / scale:.3e}); the Neumann problem is unsolvable"
         )
     solution = _bordered_solve(
-        laplacian.sparse(),
+        assemble_laplacian(grid).sparse(),
         np.ones((grid.n_points, 1)),
         grid.weights[np.newaxis, :],
         np.zeros((1, 1)),
@@ -246,41 +243,16 @@ def _delay_shift(model: ModelParams, u: np.ndarray, mu: complex, tau: float):
 
 
 def characteristic_matrix(
-    model: ModelParams,
-    u: np.ndarray,
-    mu: complex,
-    tau: float,
-    laplacian: DiscreteLaplacian | None = None,
+    model: ModelParams, u: np.ndarray, mu: complex, tau: float
 ) -> np.ndarray:
     """Dense matrix of the delayed eigenvalue operator at (mu, tau).
 
     Rows discretize  Laplace(psi) + r e^{-mu tau} p f'(u) psi
     - r delta psi - mu psi.
     """
-    if laplacian is None:
-        laplacian = assemble_laplacian(model.grid)
-    dense = laplacian.toarray().astype(complex)
+    dense = assemble_laplacian(model.grid).toarray().astype(complex)
     dense[np.diag_indices_from(dense)] += _delay_shift(model, u, mu, tau)
     return dense
-
-
-def characteristic_residual(
-    mu: complex,
-    tau: float,
-    psi: np.ndarray,
-    model: ModelParams,
-    u: np.ndarray,
-    laplacian: DiscreteLaplacian | None = None,
-) -> np.ndarray:
-    """Nodewise value of the eigenvalue operator applied to psi.
-
-    Zero exactly when (mu, psi) is an eigenpair of the linearization about
-    the steady state u at delay tau.  Linear in psi.
-    """
-    if laplacian is None:
-        laplacian = assemble_laplacian(model.grid)
-    psi = np.asarray(psi, dtype=complex)
-    return laplacian.apply(psi) + _delay_shift(model, u, mu, tau) * psi
 
 
 class _HopfNewtonFailure(RuntimeError):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import find_peaks
 
 from .grid import Grid1D, spatial_average
@@ -203,8 +202,10 @@ def simulate_pde(
     explicit, so the scheme is first order in time with an O(dt^2)
     diffusion error.  As (I + hL) u = 2u - Au for A = I - hL, h = dt d / 2,
     a step is u_new = A^-1 ((2 - dt delta) u + births) - u: one ``gttrs``
-    solve with the ``gttrf`` factor of A.  The births dt p v exp(-a v) of
-    up to tau_hat / dt + 1 steps are evaluated in one call.
+    solve with the ``gttrf`` factor of A that
+    :meth:`~nicholson.steady.DiscreteLaplacian.factor` makes once.  The
+    births dt p v exp(-a v) of up to tau_hat / dt + 1 steps are evaluated
+    in one call.
     """
     tau_hat = model.tau_hat
     dt, n_delay, n_steps = _snap_step(tau_hat, dt, t_end)
@@ -216,14 +217,12 @@ def simulate_pde(
     levels = ((lambda t: history(grid.nodes, t)) if callable(history)
               else (lambda t: history))
 
-    half = 0.5 * dt * model.d
-    lap = assemble_laplacian(grid)
-    lu = dgttrf(-half * lap.lower, 1.0 - half * lap.main, -half * lap.upper)[:5]
+    solve = assemble_laplacian(grid).factor(1.0, scale=-0.5 * dt * model.d)
     keep = 2.0 - dt * model.coeffs.delta
 
     def advance(current, births, out):
         for birth, row in zip(births, out):
-            row[:] = current = dgttrs(*lu, keep * current + birth)[0] - current
+            row[:] = current = solve(keep * current + birth)[0] - current
         return current
 
     times, means, snapshots = _march(

@@ -13,10 +13,11 @@ and self-adjoint with respect to the trapezoid quadrature weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import splu
 
 from .grid import Grid1D
 from .model import ModelParams, eval_nonlinearity
@@ -48,10 +49,10 @@ class DiscreteLaplacian:
     """Tridiagonal Neumann Laplacian on a uniform grid.
 
     ``main``, ``upper`` and ``lower`` are the three diagonals.  ``apply``
-    works for real and complex nodal fields; ``sparse`` gives the shifted
-    matrix that the steady and Hopf solvers factor.
-    ``toarray`` densifies; it serves only ``characteristic_matrix`` and the
-    tests.
+    works for real and complex nodal fields; ``factor`` solves the shifted
+    systems of the steady Newton and the time stepper; ``sparse`` gives the
+    shifted matrix that the bordered Hopf solves factor.  ``toarray``
+    densifies; it serves only ``characteristic_matrix`` and the tests.
     """
 
     grid: Grid1D
@@ -74,6 +75,26 @@ class DiscreteLaplacian:
         dense[idx[:-1], idx[:-1] + 1] = self.upper
         dense[idx[1:], idx[1:] - 1] = self.lower
         return dense
+
+    def factor(self, shift: np.ndarray | float, scale: float = 1.0) -> partial:
+        """One ``gttrf`` factor of scale * L + diag(shift), as its solver.
+
+        Returns ``dgttrs`` bound to the factor: ``solve(b)[0]`` is the
+        solution of the real system with right-hand side ``b``.  A partial,
+        not a function, so a solve adds no Python frame.
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            If elimination meets an exactly zero pivot.
+        """
+        *lu, info = dgttrf(scale * self.lower, scale * self.main + shift,
+                           scale * self.upper)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"matrix is exactly singular: pivot U[{info - 1}, {info - 1}] "
+                "is zero")
+        return partial(dgttrs, *lu)
 
     def sparse(self, diagonal_shift: np.ndarray | float = 0.0) -> csc_matrix:
         """Laplacian + diag(shift) as a sparse CSC matrix."""
@@ -145,7 +166,8 @@ def solve_steady_state(
     """Damped Newton solve for the positive steady state.
 
     Starts from the constant c0 unless ``u0`` is given.  Each step solves the
-    tridiagonal Jacobian system directly; the step is backtracked until the
+    tridiagonal Jacobian system with one ``gttrf`` factor
+    (:meth:`DiscreteLaplacian.factor`); the step is backtracked until the
     iterate stays positive and the residual satisfies an Armijo-type decrease.
 
     There is no tolerance to set.  The iteration stops once the residual is
@@ -170,8 +192,8 @@ def solve_steady_state(
         If r <= 0 or c0 <= 0 (no positive steady state to look for).
     NewtonConvergenceError
         If the residual does not reach its floor within ``_MAX_ITERATIONS``
-        steps, or above the floor the Jacobian is singular or the line
-        search cannot reduce it.
+        steps, or above the floor the Jacobian has an exactly zero pivot or
+        the line search cannot reduce it.
     """
     coeffs = model.coeffs
     if model.r <= 0:
@@ -219,8 +241,8 @@ def _newton(model: ModelParams, u: np.ndarray,
     for iteration in range(1, _MAX_ITERATIONS + 1):
         slope = coeffs.p * eval_nonlinearity(u, order=1) - coeffs.delta
         try:
-            step = splu(laplacian.sparse(model.r * slope)).solve(-residual)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            step = laplacian.factor(model.r * slope)(-residual)[0]
+        except np.linalg.LinAlgError as exc:
             if res_norm > floor:
                 raise failure(f"Jacobian: {exc}", iteration,
                               _SingularJacobian) from None

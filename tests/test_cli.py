@@ -567,6 +567,24 @@ class TestExitCodes:
         assert "snapshot_stride must be nonnegative" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("task", ["hopf", "normalform"])
+    def test_negative_n_max_is_config_error(self, tmp_path, fig2_config,
+                                            monkeypatch, capsys, task):
+        import nicholson.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("continue_hopf ran before n_max was checked")
+
+        monkeypatch.setattr(cli_module, "continue_hopf", never)
+        out = tmp_path / "ladder"
+        code = main([task, "--config", str(fig2_config), "--out", str(out),
+                     "--set", "task.n_max=-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "task.n_max" in err
+        assert "Traceback" not in err
+        assert not any(out.glob("*.csv"))
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path, fig2_config):

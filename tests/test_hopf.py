@@ -13,7 +13,7 @@ from nicholson.grid import Grid1D
 from nicholson.hopf import (
     NoHopfError,
     SolvabilityError,
-    characteristic_residual,
+    characteristic_matrix,
     continue_hopf,
     hopf_thresholds,
     limit_hopf_data,
@@ -285,9 +285,9 @@ class TestCharacteristicOperator:
         thresholds = hopf_thresholds(sol, n_max=3)
         scale = np.abs(sol.psi).max()
         for tau_n in thresholds.taus:
-            residual = characteristic_residual(
-                1j * sol.nu, tau_n, sol.psi, sol.model, sol.u
-            )
+            residual = characteristic_matrix(
+                sol.model, sol.u, 1j * sol.nu, tau_n
+            ) @ sol.psi
             assert np.abs(residual).max() < 1e-8 * scale
 
 

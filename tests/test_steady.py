@@ -51,6 +51,40 @@ class TestLaplacian:
         assert np.allclose(lap.apply(v), lap.toarray() @ v, atol=1e-12)
 
 
+class TestFactor:
+    """``DiscreteLaplacian.factor`` against a dense solve of its matrix."""
+
+    @staticmethod
+    def assert_matches_dense(lap, shift, scale):
+        n = lap.grid.n_points
+        b = np.random.default_rng(n).standard_normal(n)
+        x = lap.factor(shift, scale=scale)(b)[0]
+        dense = scale * lap.toarray() + np.diag(np.broadcast_to(shift, n))
+        expected = np.linalg.solve(dense, b)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [3, 201])
+    def test_steady_form(self, n):
+        # the Newton matrix L + r (p f'(u) - delta) at the fig. 2 solution
+        model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=1.0)
+        u = solve_steady_state(model).u
+        slope = model.coeffs.p * eval_nonlinearity(u, order=1) - model.coeffs.delta
+        self.assert_matches_dense(assemble_laplacian(model.grid),
+                                  model.r * slope, 1.0)
+
+    @pytest.mark.parametrize("n", [3, 201])
+    @pytest.mark.parametrize("d", [0.1, 100.0])
+    def test_stepper_form(self, n, d):
+        # the Crank-Nicolson matrix I - (dt d / 2) L at dt = 5e-3
+        lap = assemble_laplacian(Grid1D(length=3.0, n_points=n))
+        self.assert_matches_dense(lap, 1.0, -0.5 * 5e-3 * d)
+
+    def test_neumann_zero_pivot_raises(self):
+        lap = assemble_laplacian(Grid1D(length=3.0, n_points=201))
+        with pytest.raises(np.linalg.LinAlgError, match=r"U\[200, 200\]"):
+            lap.factor(0.0)
+
+
 class TestConstantCoefficients:
     def test_exact_constant_steady_state(self):
         # with constant p, delta the solution is u = log(p/delta) exactly
