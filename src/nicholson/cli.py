@@ -116,8 +116,15 @@ def _prepare_out(out_dir: str) -> Path:
     return out
 
 
-def _continuation(config: RunConfig):
+def _r_cap(config: RunConfig) -> float:
     r_cap = option_float(config, "r_cap", 0.5)
+    if not r_cap > 0:
+        raise ConfigError(f"task.r_cap must be positive, got {r_cap:.6g}")
+    return r_cap
+
+
+def _continuation(config: RunConfig):
+    r_cap = _r_cap(config)
     model = config.model
     if model.r > r_cap:
         raise ConfigError(
@@ -324,10 +331,12 @@ def _sweep_row(model: ModelParams, r: float, r_cap: float) -> tuple:
 
 def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    r_cap = option_float(config, "r_cap", 0.5)
+    r_cap = _r_cap(config)
     r_list = option_float_list(config, "r_list")
-    if any(r <= 0 for r in r_list):
-        raise ConfigError("task.r_list entries must be positive")
+    if not all(0 < r < math.inf for r in r_list):
+        raise ConfigError(
+            f"task.r_list entries must be positive and finite, got {r_list}"
+        )
     if any(b >= a for a, b in zip(r_list, r_list[1:])):
         raise ConfigError("task.r_list must be sorted in descending order")
     if any(r > r_cap for r in r_list):

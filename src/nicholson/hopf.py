@@ -414,12 +414,11 @@ def continue_hopf(
     """
     coeffs = model.coeffs
     grid = model.grid
-    if r_target < 0:
-        raise ValueError(f"r_target must be nonnegative, got {r_target}")
-    if r_target > r_cap:
+    if not 0 <= r_target <= r_cap:
         raise ValueError(
-            f"r_target = {r_target:.6g} exceeds the working cap r_cap = {r_cap:.6g}; "
-            "pass a larger r_cap explicitly to go beyond the validated regime"
+            f"r_target = {r_target:.6g} must be nonnegative and at most the "
+            f"working cap r_cap = {r_cap:.6g}; pass a larger r_cap explicitly "
+            "to go beyond the validated regime"
         )
     limit = limit_hopf_data(coeffs, grid)
     laplacian = assemble_laplacian(grid)

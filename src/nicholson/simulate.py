@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .grid import Grid1D, spatial_average
 from .model import ModelParams
@@ -287,6 +286,15 @@ def simulate_average_dde(
     )
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the peaks of ``x``, as :func:`estimate_period` defines them."""
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], len(x)] - 1
+    top = x[starts]
+    peak = np.flatnonzero((top[1:-1] > top[:-2]) & (top[1:-1] > top[2:])) + 1
+    return (starts[peak] + ends[peak]) // 2
+
+
 def estimate_period(
     trace: SimulationTrace,
     tail_fraction: float = 0.25,
@@ -295,14 +303,19 @@ def estimate_period(
 ) -> PeriodEstimate:
     """Classify the tail of a trace as settled, dying out, or oscillating.
 
-    The last ``tail_fraction`` of the mean series is scanned for local
-    maxima; the trace counts as oscillating when at least three are found,
-    the tail's half peak-to-peak swing exceeds ``relative_floor`` times its
-    mean level, and the swing is not visibly decaying across the tail
-    (``trend_ratio`` at least ``trend_floor``).  The trend gate matters just
-    below a bifurcation threshold, where a slowly dying mode can keep a
-    clean but shrinking oscillation in the tail for a long time.  Period is
-    the average spacing of the maxima.
+    The last ``tail_fraction`` of the mean series is scanned for peaks
+    (defined below); the trace counts as oscillating when at least three
+    are found, the tail's half peak-to-peak swing exceeds
+    ``relative_floor`` times its mean level, and the swing is not visibly
+    decaying across the tail (``trend_ratio`` at least ``trend_floor``).
+    The trend gate matters just below a bifurcation threshold, where a
+    slowly dying mode can keep a clean but shrinking oscillation in the
+    tail for a long time.  Period is the average spacing of the peaks.
+
+    A peak is a strict local maximum over runs of equal values: a run
+    higher than the runs on both sides of it.  A flat top is reported at
+    its middle index, ``(start + end) // 2``, and a run that touches either
+    end of the tail is never a peak.
     """
     if not 0 < tail_fraction <= 0.5:
         raise ValueError(
@@ -324,7 +337,7 @@ def estimate_period(
         trend_ratio = 1.0 if swing_second == 0.0 else math.inf
     else:
         trend_ratio = float(swing_second / swing_first)
-    peaks, _ = find_peaks(tail)
+    peaks = _local_maxima(tail)
     oscillating = (
         len(peaks) >= 3
         and swing > relative_floor * max(level, 1e-300)

@@ -49,6 +49,15 @@ def fig2_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def no_continuation(monkeypatch):
+    """Fail the test if the task reaches ``continue_hopf``."""
+    def never(*args, **kwargs):
+        raise AssertionError("continue_hopf ran before the options were checked")
+
+    monkeypatch.setattr(cli, "continue_hopf", never)
+
+
 def read_summary(out_dir) -> dict:
     table = {}
     for line in (out_dir / "summary.txt").read_text().splitlines():
@@ -569,13 +578,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("task", ["hopf", "normalform"])
     def test_negative_n_max_is_config_error(self, tmp_path, fig2_config,
-                                            monkeypatch, capsys, task):
-        import nicholson.cli as cli_module
-
-        def never(*args, **kwargs):
-            raise AssertionError("continue_hopf ran before n_max was checked")
-
-        monkeypatch.setattr(cli_module, "continue_hopf", never)
+                                            no_continuation, capsys, task):
         out = tmp_path / "ladder"
         code = main([task, "--config", str(fig2_config), "--out", str(out),
                      "--set", "task.n_max=-1"])
@@ -585,19 +588,72 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("value", ["nan", "0"])
+    @pytest.mark.parametrize("task, settings", [
+        ("hopf", []),
+        ("normalform", []),
+        ("sweep", ["task.r_list=0.02,0.01"]),
+    ])
+    def test_bad_r_cap_is_config_error(self, tmp_path, fig2_config,
+                                       no_continuation, capsys, task,
+                                       settings, value):
+        out = tmp_path / "capped"
+        args = [task, "--config", str(fig2_config), "--out", str(out),
+                "--set", f"task.r_cap={value}"]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "task.r_cap" in err
+        assert "Traceback" not in err
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("settings", [
+        ["task.r_list=0.1,nan"],
+        ["task.r_list=inf", "task.r_cap=inf"],
+    ])
+    def test_nonfinite_r_list_is_config_error(self, tmp_path, fig2_config,
+                                              no_continuation, capsys,
+                                              settings):
+        out = tmp_path / "listed"
+        args = ["sweep", "--config", str(fig2_config), "--out", str(out)]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert "task.r_list entries must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not any(out.glob("*.csv"))
+
+
+def _checkout_env() -> dict:
+    """The environment with this checkout's ``src/`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + os.pathsep + path if path else src)
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path, fig2_config):
         out = tmp_path / "script-out"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + os.pathsep + path if path else src)
         result = subprocess.run(
             [sys.executable, "-m", "nicholson.cli", "steady",
              "--config", str(fig2_config), "--out", str(out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_checkout_env(),
         )
         assert result.returncode == 0
         assert "c0 = " in result.stdout
         assert (out / "steady.csv").exists()
+
+    def test_cli_import_skips_heavy_scipy(self):
+        # a fresh interpreter: this one has imported scipy.signal already
+        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+        code = ("import sys, nicholson.cli; "
+                f"print(*[m for m in {heavy!r} if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True,
+                                env=_checkout_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []

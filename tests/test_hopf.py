@@ -196,6 +196,12 @@ class TestContinuation:
         with pytest.raises(ValueError, match="r_cap"):
             continue_hopf(fig2_model, 2.0)
 
+    @pytest.mark.parametrize("r_target, r_cap", [(math.nan, 0.5),
+                                                  (0.01, math.nan)])
+    def test_rejects_nan(self, fig2_model, r_target, r_cap):
+        with pytest.raises(ValueError, match="r_cap"):
+            continue_hopf(fig2_model, r_target, r_cap=r_cap)
+
     def test_no_hopf_for_fig1(self, fig1_model):
         with pytest.raises(NoHopfError):
             continue_hopf(fig1_model.with_r(1e-2), 1e-2)

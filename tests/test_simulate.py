@@ -6,6 +6,9 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 from scipy.sparse import identity
 from scipy.sparse.linalg import splu
 
@@ -18,6 +21,7 @@ from nicholson.simulate import (
     BlowUpError,
     PeriodEstimate,
     SimulationTrace,
+    _local_maxima,
     _snap_step,
     default_history,
     estimate_period,
@@ -84,6 +88,32 @@ class TestPeriodEstimator:
         trace = synthetic_trace(np.ones(120), 0.01)
         with pytest.raises(ValueError, match="samples"):
             estimate_period(trace, tail_fraction=0.5)
+
+
+class TestLocalMaxima:
+    """``scipy.signal.find_peaks`` with no options is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)),
+                    min_size=1, max_size=40))
+    def test_matches_find_peaks_on_plateaus(self, runs):
+        # runs of a small alphabet: flat tops, flat valleys and plateaus
+        # touching either end are all common
+        values, lengths = zip(*runs)
+        x = np.repeat(np.array(values, dtype=float), lengths)[:200]
+        assert np.array_equal(_local_maxima(x), find_peaks(x)[0])
+
+    def test_matches_find_peaks_on_noisy_sine(self):
+        rng = np.random.default_rng(7)
+        t = np.linspace(0.0, 100.0, 80_001)
+        x = np.sin(t) + 0.01 * rng.standard_normal(t.size)
+        peaks = _local_maxima(x)
+        assert len(peaks) > 100
+        assert np.array_equal(peaks, find_peaks(x)[0])
+
+    def test_flat_top_middle_and_ends(self):
+        x = np.array([3, 3, 1, 2, 2, 2, 2, 0, 5, 5, 1, 4, 4], dtype=float)
+        assert _local_maxima(x).tolist() == [4, 8]
 
 
 class TestPdeEquilibrium:
