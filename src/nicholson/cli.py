@@ -26,9 +26,6 @@ from .config import (
     RunConfig,
     echo_lines,
     load_config,
-    option_float,
-    option_int,
-    option_float_list,
     parse_overrides,
 )
 from .grid import Grid1D
@@ -116,32 +113,10 @@ def _prepare_out(out_dir: str) -> Path:
     return out
 
 
-def _r_cap(config: RunConfig) -> float:
-    r_cap = option_float(config, "r_cap", 0.5)
-    if not r_cap > 0:
-        raise ConfigError(f"task.r_cap must be positive, got {r_cap:.6g}")
-    return r_cap
-
-
 def _continuation(config: RunConfig):
-    r_cap = _r_cap(config)
     model = config.model
-    if model.r > r_cap:
-        raise ConfigError(
-            f"model.r = {model.r:.6g} exceeds the continuation cap "
-            f"{r_cap:.6g}; the asymptotic theory degrades away from r = 0. "
-            "Set task.r_cap to opt in explicitly."
-        )
-    return _call(
-        "hopf.continue_hopf", continue_hopf, model, model.r, r_cap=r_cap
-    )
-
-
-def _n_max(config: RunConfig, default: int) -> int:
-    n_max = option_int(config, "n_max", default)
-    if n_max < 0:
-        raise ConfigError(f"task.n_max must be nonnegative, got {n_max}")
-    return n_max
+    return _call("hopf.continue_hopf", continue_hopf, model, model.r,
+                 r_cap=config.options["r_cap"])
 
 
 def _task_steady(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
@@ -164,12 +139,12 @@ def _task_steady(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
 
 def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    n_max = _n_max(config, 3)
     try:
         sol = _continuation(config)
     except NoHopfError:
         return [_no_hopf_line(model.coeffs.c0)], []
-    thresholds = _call("hopf.hopf_thresholds", hopf_thresholds, sol, n_max=n_max)
+    thresholds = _call("hopf.hopf_thresholds", hopf_thresholds, sol,
+                       n_max=config.options["n_max"])
     path = out / "hopf.csv"
     write_hopf_csv(path, sol, thresholds)
     integral = _call("hopf.nondegeneracy_integral", nondegeneracy_integral, sol, 0)
@@ -199,13 +174,13 @@ def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
 
 def _task_normalform(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    n_max = _n_max(config, 0)
     try:
         sol = _continuation(config)
     except NoHopfError:
         return [_no_hopf_line(model.coeffs.c0)], []
     reports = []
-    for n in range(n_max + 1):  # the correction fields do not depend on n
+    # the correction fields do not depend on n
+    for n in range(config.options["n_max"] + 1):
         reuse = (reports[0].second_harmonic, reports[0].zero_mode) if reports else ()
         reports.append(_call("normalform.normal_form_report", normal_form_report,
                              sol, n, *reuse))
@@ -251,25 +226,13 @@ def _verdict_lines(prefix: str, trace, tail_fraction: float) -> list[str]:
     return lines
 
 
-def _simulation_options(config: RunConfig, dt: float) -> tuple[dict, float]:
-    """Run options and tail fraction of a simulation task, checked first."""
-    tail_fraction = option_float(config, "tail_fraction", 0.25)
-    if not 0 < tail_fraction <= 0.5:
-        raise ConfigError(
-            f"task.tail_fraction must lie in (0, 0.5], got {tail_fraction:.6g}"
-        )
-    history = config.options.get("history")
-    return {"t_end": option_float(config, "t_end", 400.0),
-            "dt": option_float(config, "dt", dt),
-            "history": None if history is None else float(history)}, tail_fraction
-
-
 def _task_simulate(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    options, tail_fraction = _simulation_options(config, 5e-3)
+    options = config.options
     trace = _call(
         "simulator.simulate_pde", simulate_pde, model,
-        snapshot_stride=option_int(config, "snapshot_stride", 0), **options,
+        history=options["history"], t_end=options["t_end"], dt=options["dt"],
+        snapshot_stride=options["snapshot_stride"],
     )
     files = []
     path = out / "trace.csv"
@@ -287,27 +250,27 @@ def _task_simulate(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         f"c0 = {model.coeffs.c0:.12g}",
         f"tau_hat = {trace.tau_hat:.12g}",
     ]
-    summary.extend(_verdict_lines("", trace, tail_fraction))
+    summary.extend(_verdict_lines("", trace, options["tail_fraction"]))
     return summary, files
 
 
 def _task_average_dde(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
     coeffs = model.coeffs
-    tau_check = option_float(config, "tau_check", model.tau_hat)
-    options, tail_fraction = _simulation_options(config, 1e-3)
+    options = config.options
     trace = _call(
         "simulator.simulate_average_dde", simulate_average_dde,
-        coeffs.p_bar, coeffs.delta_bar, model.a, tau_check, **options,
+        coeffs.p_bar, coeffs.delta_bar, model.a, options["tau_check"],
+        history=options["history"], t_end=options["t_end"], dt=options["dt"],
     )
     path = out / "trace.csv"
     write_trace_csv(path, trace)
     summary = [
         f"c0 = {coeffs.c0:.12g}",
-        f"tau_check = {tau_check:.12g}",
+        f"tau_check = {options['tau_check']:.12g}",
         f"equilibrium = {coeffs.c0 / model.a:.12g}",
     ]
-    summary.extend(_verdict_lines("", trace, tail_fraction))
+    summary.extend(_verdict_lines("", trace, options["tail_fraction"]))
     return summary, [path.name]
 
 
@@ -331,27 +294,14 @@ def _sweep_row(model: ModelParams, r: float, r_cap: float) -> tuple:
 
 def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    r_cap = _r_cap(config)
-    r_list = option_float_list(config, "r_list")
-    if not all(0 < r < math.inf for r in r_list):
-        raise ConfigError(
-            f"task.r_list entries must be positive and finite, got {r_list}"
-        )
-    if any(b >= a for a, b in zip(r_list, r_list[1:])):
-        raise ConfigError("task.r_list must be sorted in descending order")
-    if any(r > r_cap for r in r_list):
-        raise ConfigError(
-            f"task.r_list exceeds the continuation cap {r_cap:.6g}; "
-            "set task.r_cap to opt in explicitly"
-        )
     coeffs = model.coeffs
     if coeffs.c0 <= 2.0:
         return [_no_hopf_line(coeffs.c0)], []
     rows = []
     stalled = 0
-    for r in r_list:
+    for r in config.options["r_list"]:
         try:
-            rows.append(_sweep_row(model, r, r_cap))
+            rows.append(_sweep_row(model, r, config.options["r_cap"]))
         except _SOLVER_ERRORS + (NoHopfError,):
             rows.append((r, 1.0 / r) + (BLANK,) * 9 + ("STALL",))
             stalled += 1
@@ -435,11 +385,7 @@ def run_reproduce(figure: str, out: Path, n_points: int = 301) -> tuple[list[str
 
 def run_task(config: RunConfig, out_dir: str) -> int:
     """Execute one configured task; returns the process exit code."""
-    unread = sorted(set(config.options) - set(TASKS[config.task]))
-    if unread:
-        raise ConfigError(
-            f"task {config.task!r} does not read the task keys {unread}"
-        )
+    config.require_options()
     out = _prepare_out(out_dir)
     summary, files = _TASK_RUNNERS[config.task](config, out)
     _finish_run(out, echo_lines(config), summary, files)

@@ -22,27 +22,66 @@ assembled entirely from overrides.  Example::
 
 Exactly one of ``d``/``r`` must be given (the other is derived by
 d * r = 1) and at most one of ``tau_hat``/``tau`` (delay defaults to 0,
-which the delay-free tasks never read).
+which the delay-free tasks never read).  Every model number must be
+finite.  The ``[task]`` keys follow the rules of the one table
+:data:`OPTIONS`, which :func:`load_config` applies before any output or
+solve.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grid import Grid1D
 from .model import CoefficientSpec, ModelParams, build_coefficients
 
-# Each task and the [task] keys it reads besides ``name``.
-TASKS = {
-    "steady": (),
-    "hopf": ("n_max", "r_cap"),
-    "normalform": ("n_max", "r_cap"),
-    "simulate": ("t_end", "dt", "tail_fraction", "snapshot_stride", "history"),
-    "average-dde": ("tau_check", "t_end", "dt", "tail_fraction", "history"),
-    "sweep": ("r_list", "r_cap"),
+TASKS = ("steady", "hopf", "normalform", "simulate", "average-dde", "sweep")
+_REQUIRED = object()  # the default of a key its task cannot run without
+
+
+def _floats(text: str) -> list[float]:
+    return [float(part) for part in text.split(",")]
+
+
+def _finite_positive(value: float) -> bool:
+    return 0 < value < math.inf
+
+
+_NOUNS = {float: "a number", int: "an integer", _floats: "a list of numbers"}
+# Each [task] key: how its text is read, the test its value must pass, the
+# condition that finishes "task.<key> ..." for a value that fails it, and
+# its default for each task that reads it (a value, a function of the
+# model, or _REQUIRED).  A history of None is 90% of the steady state.
+OPTIONS = {
+    "n_max": (int, lambda n: n >= 0, "must be nonnegative",
+              {"hopf": 3, "normalform": 0}),
+    "r_cap": (float, lambda cap: cap > 0, "must be positive",
+              {"hopf": 0.5, "normalform": 0.5, "sweep": 0.5}),
+    "r_list": (_floats, lambda rs: all(map(_finite_positive, rs))
+               and all(a > b for a, b in zip(rs, rs[1:])),
+               "entries must be positive and finite, in descending order",
+               {"sweep": _REQUIRED}),
+    "tau_check": (float, lambda tau: 0 <= tau < math.inf,
+                  "is a delay, and a delay must be nonnegative and finite",
+                  {"average-dde": lambda model: model.tau_hat}),
+    "t_end": (float, _finite_positive, "must be positive and finite",
+              {"simulate": 400.0, "average-dde": 400.0}),
+    "dt": (float, _finite_positive, "must be positive and finite",
+           {"simulate": 5e-3, "average-dde": 1e-3}),
+    "tail_fraction": (float, lambda f: 0 < f <= 0.5, "must lie in (0, 0.5]",
+                      {"simulate": 0.25, "average-dde": 0.25}),
+    "snapshot_stride": (int, lambda k: k >= 0, "must be nonnegative",
+                        {"simulate": 0}),
+    "history": (float, _finite_positive, "must be positive and finite",
+                {"simulate": None, "average-dde": None}),
 }
+
+
+def task_keys(task: str) -> list[str]:
+    """The ``[task]`` keys ``task`` reads besides ``name``."""
+    return [key for key, rule in OPTIONS.items() if task in rule[3]]
 
 
 class ConfigError(ValueError):
@@ -51,11 +90,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated model plus one task with its raw option strings."""
+    """A validated model plus one task with its typed, checked options."""
 
     model: ModelParams
     task: str
-    options: dict = field(default_factory=dict)
+    options: dict
+
+    def require_options(self) -> None:
+        """Raise for a missing required key, which load_config lets pass."""
+        for key in task_keys(self.task):
+            if key not in self.options:
+                raise ConfigError(f"task.{key} is required for task {self.task!r}")
 
 
 def parse_overrides(pairs) -> dict[tuple[str, str], str]:
@@ -89,18 +134,22 @@ def _read_sections(path, overrides) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _number(raw: str, kind, name: str):
-    """``kind(raw)``, or a ConfigError naming ``name``."""
+def _read(raw: str, name: str, read, accepts, condition: str):
+    """``read(raw)`` if ``accepts`` it, else a ConfigError naming ``name``."""
     try:
-        return kind(raw)
+        value = read(raw)
     except ValueError as exc:
-        noun = "a number" if kind is float else "an integer"
-        raise ConfigError(f"{name} = {raw!r} is not {noun}") from exc
+        raise ConfigError(f"{name} = {raw!r} is not {_NOUNS[read]}") from exc
+    if not accepts(value):
+        raise ConfigError(f"{name} {condition}, got {raw}")
+    return value
 
 
 def _pop_model_number(table: dict, key: str, kind=float):
     raw = table.pop(key, None)
-    return None if raw is None else _number(raw, kind, f"model.{key}")
+    return None if raw is None else _read(
+        raw, f"model.{key}", kind, lambda x: -math.inf < x < math.inf,
+        "must be finite")
 
 
 def _coefficient(table: dict, name: str, grid: Grid1D) -> CoefficientSpec:
@@ -127,7 +176,7 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
     Raises
     ------
     ConfigError
-        On any missing, duplicated, unknown, or ill-typed entry.
+        On any missing, duplicated, unknown or invalid entry.
     """
     sections = _read_sections(path, overrides)
     known = {"model", "task"}
@@ -166,7 +215,7 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
         if d <= 0:
             raise ConfigError(f"model.d must be positive, got {d:.6g}")
         r = 1.0 / d
-    if r <= 0 or not math.isfinite(r):
+    if not 0 < r < math.inf:  # 1/d overflows for a subnormal d
         raise ConfigError(f"model.r must be positive and finite, got {r:.6g}")
 
     tau_hat = _pop_model_number(model_table, "tau_hat")
@@ -193,34 +242,34 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
         raise ConfigError(f"task.name is required; one of {', '.join(TASKS)}")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
-    return RunConfig(model=model, task=task, options=task_table)
+    return RunConfig(model=model, task=task,
+                     options=_task_options(task, task_table, model))
 
 
-def _option(config: RunConfig, key: str, kind, default):
-    raw = config.options.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"task.{key} is required for task {config.task!r}")
-        return default
-    return _number(raw, kind, f"task.{key}")
-
-
-def option_float(config: RunConfig, key: str, default: float | None = None) -> float:
-    return _option(config, key, float, default)
-
-
-def option_int(config: RunConfig, key: str, default: int | None = None) -> int:
-    return _option(config, key, int, default)
-
-
-def option_float_list(config: RunConfig, key: str) -> list[float]:
-    raw = config.options.get(key)
-    if raw is None or not raw.strip():
-        raise ConfigError(f"task.{key} (comma-separated list) is required")
-    try:
-        return [float(part) for part in raw.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"task.{key} = {raw!r} is not a list of numbers") from exc
+def _task_options(task: str, table: dict, model: ModelParams) -> dict:
+    """Read, check and default the ``[task]`` keys by :data:`OPTIONS`."""
+    keys = task_keys(task)
+    unread = sorted(set(table) - set(keys))
+    if unread:
+        raise ConfigError(f"task {task!r} does not read the task keys {unread}")
+    options = {}
+    for key in keys:
+        *rule, defaults = OPTIONS[key]
+        default = defaults[task]
+        if key in table:
+            options[key] = _read(table[key], f"task.{key}", *rule)
+        elif default is not _REQUIRED:
+            options[key] = default(model) if callable(default) else default
+    # hopf and normalform continue to model.r, sweep to each r of its list
+    name, targets = (("task.r_list entry", options.get("r_list", []))
+                     if task == "sweep" else ("model.r =", [model.r]))
+    if max(targets, default=0) > options.get("r_cap", math.inf):
+        raise ConfigError(
+            f"{name} {max(targets):.6g} exceeds the continuation cap "
+            f"{options['r_cap']:.6g}; the asymptotic theory degrades away "
+            "from r = 0. Set task.r_cap to opt in explicitly."
+        )
+    return options
 
 
 def echo_lines(config: RunConfig) -> list[str]:
@@ -241,5 +290,7 @@ def echo_lines(config: RunConfig) -> list[str]:
         "[task]",
         f"name = {config.task}",
     ]
-    lines.extend(f"{key} = {value}" for key, value in sorted(config.options.items()))
+    for key, value in sorted(config.options.items()):
+        text = ",".join(map(str, value)) if isinstance(value, list) else value
+        lines.append(f"{key} = {'default' if value is None else text}")
     return lines

@@ -21,7 +21,7 @@ class Grid1D:
     Parameters
     ----------
     length : float
-        Domain size, must be positive.
+        Domain size, positive and finite.
     n_points : int
         Number of nodes including both endpoints, at least 3.
 
@@ -42,8 +42,8 @@ class Grid1D:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
         if self.n_points < 3:
             raise ValueError(f"n_points must be at least 3, got {self.n_points}")
         h = self.length / (self.n_points - 1)

@@ -211,15 +211,17 @@ def build_coefficients(
     Raises
     ------
     ValueError
-        If either coefficient is not strictly positive at every node.
+        If either coefficient is not finite and strictly positive at every
+        node.
     """
     p = p_spec.sample(grid)
     delta = delta_spec.sample(grid)
     for name, values in (("p", p), ("delta", delta)):
-        if not np.all(values > 0):
-            worst = float(values.min())
+        bad = ~((values > 0) & (values < np.inf))
+        if bad.any():
             raise ValueError(
-                f"coefficient {name} must be strictly positive; min sample {worst}"
+                f"coefficient {name} must be finite and strictly positive; "
+                f"sample {values[bad][0]} at x = {grid.nodes[bad][0]:.6g}"
             )
     p.flags.writeable = False
     delta.flags.writeable = False
@@ -260,8 +262,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.r < 0:
             raise ValueError(f"r must be nonnegative, got {self.r}")
-        if self.a <= 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
         if self.tau < 0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
         if self.coeffs.p.size != self.grid.n_points:

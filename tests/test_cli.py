@@ -1,6 +1,8 @@
 """Command-line interface: config handling, tasks, exit codes, manifests."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,17 +12,17 @@ import pytest
 from nicholson import cli, normalform
 from nicholson.cli import main
 from nicholson.config import (
+    OPTIONS,
     TASKS,
     ConfigError,
     echo_lines,
     load_config,
-    option_float,
-    option_float_list,
-    option_int,
     parse_overrides,
+    task_keys,
 )
 from nicholson.hopf import (
     ContinuationStallError,
+    NoHopfError,
     characteristic_matrix,
     continue_hopf,
 )
@@ -56,6 +58,26 @@ def no_continuation(monkeypatch):
         raise AssertionError("continue_hopf ran before the options were checked")
 
     monkeypatch.setattr(cli, "continue_hopf", never)
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Fail the test if the task reaches any solver."""
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran before the options were checked")
+
+    for name in ("continue_hopf", "solve_steady_state", "simulate_pde",
+                 "simulate_average_dde"):
+        monkeypatch.setattr(cli, name, never)
+
+
+def run_with(tmp_path, task, settings, config):
+    """``main`` on ``config`` plus ``--set`` settings; (exit code, out dir)."""
+    out = tmp_path / "out"
+    args = [task, "--config", str(config), "--out", str(out)]
+    for setting in settings:
+        args += ["--set", setting]
+    return main(args), out
 
 
 def read_summary(out_dir) -> dict:
@@ -188,23 +210,26 @@ class TestLoadConfig:
         assert np.allclose(config.model.coeffs.p, samples)
 
     def test_option_getters(self, fig2_config):
-        config = load_config(
-            fig2_config,
-            overrides={("task", "n_max"): "2", ("task", "t_end"): "12.5",
-                       ("task", "r_list"): "0.1, 0.01"},
-        )
-        assert option_int(config, "n_max", 0) == 2
-        assert option_float(config, "t_end", 1.0) == pytest.approx(12.5)
-        assert option_float_list(config, "r_list") == [0.1, 0.01]
-        assert option_int(config, "absent", 7) == 7
-        with pytest.raises(ConfigError, match="required"):
-            option_float(config, "missing")
+        def options(task, **raw):
+            overrides = {("task", "name"): task}
+            overrides.update({("task", key): value for key, value in raw.items()})
+            return load_config(fig2_config, overrides=overrides)
+
+        hopf = options("hopf", n_max="2")
+        assert hopf.options == {"n_max": 2, "r_cap": 0.5}
+        assert isinstance(hopf.options["n_max"], int)
+        simulate = options("simulate", t_end="12.5")
+        assert simulate.options["t_end"] == pytest.approx(12.5)
+        assert simulate.options["snapshot_stride"] == 0
+        assert options("sweep", r_list="0.1, 0.01").options["r_list"] == [0.1, 0.01]
+        # a missing required key is left for run_task to report, so that
+        # the model of an incomplete sweep file still loads
+        sweep = options("sweep")
+        assert "r_list" not in sweep.options
+        with pytest.raises(ConfigError, match="task.r_list is required"):
+            sweep.require_options()
         with pytest.raises(ConfigError, match="not an integer"):
-            option_int(
-                load_config(fig2_config,
-                            overrides={("task", "n_max"): "two"}),
-                "n_max", 0,
-            )
+            options("hopf", n_max="two")
 
     def test_echo_lines_resolved(self, fig2_config):
         lines = echo_lines(load_config(fig2_config))
@@ -217,6 +242,17 @@ class TestLoadConfig:
         # manifest alone
         assert "d = 100" in joined
         assert "c0 = " in joined
+
+    def test_echo_lines_list_task_defaults(self, fig2_config):
+        lines = echo_lines(load_config(
+            fig2_config, overrides={("task", "name"): "simulate"}))
+        task = lines[lines.index("[task]"):]
+        assert task == ["[task]", "name = simulate", "dt = 0.005",
+                        "history = default", "snapshot_stride = 0",
+                        "t_end = 400.0", "tail_fraction = 0.25"]
+        lines = echo_lines(load_config(fig2_config, overrides={
+            ("task", "name"): "sweep", ("task", "r_list"): "0.1, 0.01"}))
+        assert "r_list = 0.1,0.01" in lines and "r_cap = 0.5" in lines
 
 
 class TestTaskRuns:
@@ -625,6 +661,163 @@ class TestExitCodes:
         assert "task.r_list entries must be positive and finite" in err
         assert "Traceback" not in err
         assert not any(out.glob("*.csv"))
+
+
+# One bad value per case; together they cover every [task] key.
+BAD_TASK_VALUES = [
+    ("hopf", "n_max", "-1", []),
+    ("normalform", "n_max", "two", []),
+    ("hopf", "r_cap", "0", []),
+    ("hopf", "r_cap", "0.001", []),  # below model.r = 0.01
+    ("sweep", "r_cap", "nan", ["task.r_list=0.02,0.01"]),
+    ("sweep", "r_list", "0.01,0.1", []),
+    ("sweep", "r_list", "0.1,nan", []),
+    ("sweep", "r_list", "0.6", []),  # above the default cap
+    ("sweep", "r_list", "", []),
+    ("average-dde", "tau_check", "-1", []),
+    ("simulate", "t_end", "inf", []),
+    ("average-dde", "t_end", "0", []),
+    ("simulate", "dt", "0", []),
+    ("average-dde", "dt", "nan", []),
+    ("simulate", "tail_fraction", "0.75", []),
+    ("simulate", "snapshot_stride", "-5", []),
+    ("simulate", "snapshot_stride", "2.0", []),
+    ("simulate", "history", "abc", []),
+    ("average-dde", "history", "0", []),
+]
+
+# (task, key, value, accepted): the edges of each key's accepted range.
+TASK_BOUNDARIES = [
+    ("hopf", "n_max", "0", True),
+    ("hopf", "n_max", "-1", False),
+    ("hopf", "n_max", "1.5", False),
+    ("hopf", "r_cap", "inf", True),
+    ("hopf", "r_cap", "0.01", True),  # equal to model.r
+    ("hopf", "r_cap", "0.00999", False),
+    ("hopf", "r_cap", "-1", False),
+    ("hopf", "r_cap", "nan", False),
+    ("sweep", "r_list", "0.5,0.1", True),  # equal to the default cap
+    ("sweep", "r_list", " 0.1 , 0.01", True),
+    ("sweep", "r_list", "1e-300", True),
+    ("sweep", "r_list", "0.1,0.1", False),
+    ("sweep", "r_list", "0.1,0", False),
+    ("sweep", "r_list", "-0.1", False),
+    ("sweep", "r_list", "0.1,", False),
+    ("sweep", "r_list", "0.1;0.01", False),
+    ("average-dde", "tau_check", "0", True),
+    ("average-dde", "tau_check", "inf", False),
+    ("average-dde", "tau_check", "nan", False),
+    ("simulate", "t_end", "1e-9", True),
+    ("simulate", "t_end", "0", False),
+    ("simulate", "t_end", "nan", False),
+    ("average-dde", "dt", "1e-9", True),
+    ("average-dde", "dt", "-1", False),
+    ("average-dde", "dt", "inf", False),
+    ("simulate", "tail_fraction", "0.5", True),
+    ("simulate", "tail_fraction", "1e-9", True),
+    ("simulate", "tail_fraction", "0", False),
+    ("simulate", "tail_fraction", "0.500001", False),
+    ("simulate", "tail_fraction", "nan", False),
+    ("simulate", "snapshot_stride", "0", True),
+    ("simulate", "snapshot_stride", "-1", False),
+    ("simulate", "history", "1e-300", True),
+    ("average-dde", "history", "1e300", True),
+    ("simulate", "history", "0", False),
+    ("simulate", "history", "-1", False),
+    ("average-dde", "history", "inf", False),
+    ("average-dde", "history", "nan", False),
+]
+
+
+class TestTaskOptions:
+    def test_cases_cover_every_key(self):
+        assert {key for _, key, _, _ in BAD_TASK_VALUES} == set(OPTIONS)
+        assert {key for _, key, _, _ in TASK_BOUNDARIES} == set(OPTIONS)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_key_a_task_reads_has_a_rule(self, fig2_config, task):
+        source = inspect.getsource(cli._TASK_RUNNERS[task])
+        if "_continuation(" in source:
+            source += inspect.getsource(cli._continuation)
+        read = set(re.findall(r"options\[[\"'](\w+)[\"']\]", source))
+        assert read == set(task_keys(task))
+        # each default is a value the key's own rule accepts
+        overrides = {("task", "name"): task}
+        if task == "sweep":
+            overrides[("task", "r_list")] = "0.1"
+        options = load_config(fig2_config, overrides=overrides).options
+        assert set(options) == read
+        for key, value in options.items():
+            read_text, accepts, _, _ = OPTIONS[key]
+            assert value is None or accepts(value), key
+            assert value is None or isinstance(value, type(read_text("1"))), key
+
+    @pytest.mark.parametrize("task, key, value, settings", BAD_TASK_VALUES)
+    def test_bad_value_stops_before_output_and_solve(
+            self, tmp_path, fig2_config, no_solver, capsys, task, key, value,
+            settings):
+        code, out = run_with(tmp_path, task, [f"task.{key}={value}", *settings],
+                             fig2_config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"task.{key}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, key, value, accepted", TASK_BOUNDARIES)
+    def test_accepted_values_unchanged(self, fig2_config, task, key, value,
+                                       accepted):
+        overrides = {("task", "name"): task, ("task", key): value}
+        if task == "sweep" and key != "r_list":
+            overrides[("task", "r_list")] = "0.1"
+        if accepted:
+            assert key in load_config(fig2_config, overrides=overrides).options
+        else:
+            with pytest.raises(ConfigError, match=f"task.{key}"):
+                load_config(fig2_config, overrides=overrides)
+
+    def test_missing_required_key_stops_before_output(
+            self, tmp_path, fig2_config, no_solver, capsys):
+        code, out = run_with(tmp_path, "sweep", [], fig2_config)
+        assert code == 1
+        assert "task.r_list is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_lists_defaults(self, tmp_path, fig2_config, monkeypatch):
+        def no_hopf(*args, **kwargs):
+            raise NoHopfError("stubbed")
+
+        monkeypatch.setattr(cli, "continue_hopf", no_hopf)
+        code, out = run_with(tmp_path, "hopf", [], fig2_config)
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        task = manifest[manifest.index("# [task]"):]
+        assert task[:4] == ["# [task]", "# name = hopf", "# n_max = 3",
+                            "# r_cap = 0.5"]
+
+
+class TestModelValues:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["length", "a", "d", "r", "tau_hat", "tau"])
+    def test_nonfinite_number_is_config_error(self, tmp_path, fig2_config,
+                                              no_solver, capsys, key, value):
+        code, out = run_with(tmp_path, "steady", [f"model.{key}={value}"],
+                             fig2_config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config error: model.{key} must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["p", "delta"])
+    def test_nonfinite_coefficient_is_config_error(
+            self, tmp_path, fig2_config, no_solver, capsys, key, value):
+        code, out = run_with(tmp_path, "simulate", [f"model.{key}={value}"],
+                             fig2_config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"coefficient {key} must be finite and strictly positive" in err
+        assert not out.exists()
 
 
 def _checkout_env() -> dict:

@@ -49,6 +49,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(length=1.0, n_points=2)
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_rejects_nonfinite_length(self, length):
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            Grid1D(length=length, n_points=5)
+
     def test_arrays_frozen(self):
         grid = Grid1D(length=1.0, n_points=5)
         with pytest.raises(ValueError):
@@ -171,6 +176,18 @@ class TestBuildCoefficients:
                 grid,
             )
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite(self, bad):
+        grid = Grid1D(length=2.0, n_points=21)
+        samples = np.ones(21)
+        samples[10] = bad
+        with pytest.raises(ValueError, match="coefficient delta must be finite"):
+            build_coefficients(
+                CoefficientSpec.constant(1.0),
+                CoefficientSpec.from_samples(samples),
+                grid,
+            )
+
     @given(st.floats(min_value=0.1, max_value=50.0),
            st.floats(min_value=0.1, max_value=50.0))
     @settings(max_examples=40, deadline=None)
@@ -203,4 +220,10 @@ class TestModelParams:
                         coeffs=fig2_model.coeffs)
         with pytest.raises(ValueError):
             ModelParams(r=1.0, a=0.0, tau=0.0, grid=grid301,
+                        coeffs=fig2_model.coeffs)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_rejects_nonfinite_a(self, grid301, fig2_model, a):
+        with pytest.raises(ValueError, match="a must be positive and finite"):
+            ModelParams(r=1.0, a=a, tau=0.0, grid=grid301,
                         coeffs=fig2_model.coeffs)
