@@ -269,6 +269,17 @@ def _task_options(task: str, table: dict, model: ModelParams) -> dict:
             f"{options['r_cap']:.6g}; the asymptotic theory degrades away "
             "from r = 0. Set task.r_cap to opt in explicitly."
         )
+    # the simulators snap dt down to a shorter delay, as simulate._snap_step
+    # does; below dt/2 that is no longer a snap but a far smaller step
+    if "dt" in options:
+        name = "task.tau_check" if "tau_check" in table else "model.tau_hat"
+        delay = options.get("tau_check", model.tau_hat)
+        if 0 < delay < options["dt"] / 2:
+            raise ConfigError(
+                f"{name} = {delay:.6g} is positive but below half of "
+                f"task.dt = {options['dt']:.6g}; the step would shrink to "
+                "the delay. Use a zero delay, a longer one or a smaller dt."
+            )
     return options
 
 

@@ -5,7 +5,11 @@ u(x, t), diffusion coefficient d = 1/r, delay tau_hat = r * tau and birth
 function p(x) v exp(-a v) evaluated at the delayed density.  Diffusion is
 treated with Crank-Nicolson, the reaction explicitly, and dt is snapped so
 that tau_hat is an exact multiple of it: the stored states then hold the
-delayed fields of a block of steps, whose births take one call.
+delayed fields of a block of steps, whose births take one call.  Multiplied
+by the trapezoid weights, the implicit matrix is symmetric positive
+definite, so a step is one LAPACK ``pttrs`` solve with a factor made once.
+At zero delay each step's births come from the state just written, inside
+the same block march.
 
 The spatially averaged scalar equation
 
@@ -79,13 +83,22 @@ class PeriodEstimate:
 
 
 def _snap_step(delay: float, dt: float, t_end: float) -> tuple[float, int, int]:
-    """Snap ``dt`` to divide ``delay``; return (dt, delay in steps, step count)."""
+    """Snap ``dt`` to divide ``delay``; return (dt, delay in steps, step count).
+
+    A positive delay below dt/2, which rounds to zero steps, is refused:
+    snapping would shrink dt to the delay and multiply the step count.
+    """
     if t_end is None or not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt:.6g}")
     if not 0 <= delay < math.inf:
         raise ValueError(f"delay must be nonnegative and finite, got {delay:.6g}")
+    if 0 < delay < dt / 2:
+        raise ValueError(
+            f"delay {delay:.6g} is positive but below dt/2 = {dt / 2:.6g}; "
+            "the step would shrink to the delay"
+        )
     if delay > 0:
         n_delay = max(1, round(delay / dt))
         dt = delay / n_delay
@@ -105,13 +118,27 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
 
     A ring of states (of ``shape``) starts with the history at
     t = -n_delay*dt, ..., 0.  Each step writes its state n_delay + 1 rows
-    after the delayed one it read, so the births ``gain*v*exp(-a*v)`` of
-    the next n_delay + 1 steps take one call; ``advance(current, births,
-    out)`` writes those steps' states to ``out`` and returns the last.  The
-    blow-up test (a largest magnitude not at most ``threshold`` raises
+    after the delayed one it read.  ``advance(current, births, out)``
+    writes the states of the steps in ``out`` and returns the last; the
+    births ``gain*v*exp(-a*v)`` of a step come from its delayed state v.
+    With a delay, the births of the next n_delay + 1 steps take one call
+    and ``births`` is their array; at zero delay ``births`` is the birth
+    function ``births(v, out=None, scratch=None)``, which ``advance``
+    applies to the state it has just written.
+    The blow-up test (a largest magnitude not at most ``threshold`` raises
     :class:`BlowUpError`), ``observe`` and the snapshots run on blocks of
     up to ``_CHUNK`` states, for which a short delay gets a longer ring.
     """
+    neg_a = np.array(-a)  # a ufunc takes a 0-d array faster than a float
+
+    def births(v, out=None, scratch=None):
+        # the same arithmetic either way; arrays out and scratch of v's
+        # shape take the births and the exponential without allocating
+        if out is None:
+            return gain * v * np.exp(-a * v)
+        np.exp(np.multiply(v, neg_a, scratch), scratch)
+        return np.multiply(np.multiply(gain, v, out), scratch, out)
+
     stride = snapshot_stride or 0
     if stride < 0:
         raise ValueError(f"snapshot_stride must be nonnegative, got {stride}")
@@ -134,11 +161,14 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
         while step < n_steps:
             start = (step + depth) % len(ring)  # the row of state step + 1
             end = min(start + _CHUNK, len(ring), start + n_steps - step)
-            for row in range(start, end, depth):
-                read = (row - depth) % len(ring)
-                delayed = ring[read:read + min(depth, end - row)]
-                births = gain * delayed * np.exp(-a * delayed)
-                current = advance(current, births, ring[row:row + len(births)])
+            if n_delay:
+                for row in range(start, end, depth):
+                    read = (row - depth) % len(ring)
+                    delayed = ring[read:read + min(depth, end - row)]
+                    current = advance(current, births(delayed),
+                                      ring[row:row + len(delayed)])
+            else:
+                current = advance(current, births, ring[start:end])
             block = ring[start:end]
             bad = ~(np.abs(block).reshape(len(block), -1).max(axis=1) <= threshold)
             if bad.any():
@@ -200,11 +230,15 @@ def simulate_pde(
     Diffusion is Crank-Nicolson, the reaction p g(u_delayed) - delta u is
     explicit, so the scheme is first order in time with an O(dt^2)
     diffusion error.  As (I + hL) u = 2u - Au for A = I - hL, h = dt d / 2,
-    a step is u_new = A^-1 ((2 - dt delta) u + births) - u: one ``gttrs``
-    solve with the ``gttrf`` factor of A that
-    :meth:`~nicholson.steady.DiscreteLaplacian.factor` makes once.  The
-    births dt p v exp(-a v) of up to tau_hat / dt + 1 steps are evaluated
-    in one call.
+    a step is u_new = A^-1 ((2 - dt delta) u + births) - u.  With W the
+    trapezoid weights over the spacing (1/2 at the ends, 1 inside), W A is
+    symmetric positive definite, so the step is
+    u_new = (W A)^-1 (W (2 - dt delta) u + W births) - u: one ``pttrs``
+    solve with the ``pttrf`` factor that
+    :meth:`~nicholson.steady.DiscreteLaplacian.weighted_factor` makes once,
+    W folded into the coefficients at setup.  The births dt p v exp(-a v)
+    of up to tau_hat / dt + 1 steps are evaluated in one call; at zero
+    delay each step evaluates its own from the state before it.
     """
     tau_hat = model.tau_hat
     dt, n_delay, n_steps = _snap_step(tau_hat, dt, t_end)
@@ -216,18 +250,24 @@ def simulate_pde(
     levels = ((lambda t: history(grid.nodes, t)) if callable(history)
               else (lambda t: history))
 
-    solve = assemble_laplacian(grid).factor(1.0, scale=-0.5 * dt * model.d)
-    keep = 2.0 - dt * model.coeffs.delta
+    solve = assemble_laplacian(grid).weighted_factor(-0.5 * dt * model.d)
+    weights = grid.weights / grid.spacing  # the W of weighted_factor
+    keep = weights * (2.0 - dt * model.coeffs.delta)
+    rhs, birth, scratch = np.empty((3, grid.n_points))
 
     def advance(current, births, out):
-        for birth, row in zip(births, out):
-            row[:] = current = solve(keep * current + birth)[0] - current
+        for k, row in enumerate(out):
+            np.multiply(keep, current, rhs)
+            np.add(rhs, births[k] if n_delay
+                   else births(current, birth, scratch), rhs)
+            np.subtract(solve(rhs, True)[0], current, row)  # True: overwrite rhs
+            current = row
         return current
 
     times, means, snapshots = _march(
         advance, lambda u: spatial_average(u, grid), levels, (grid.n_points,),
-        n_delay, dt * model.coeffs.p, model.a, dt, n_steps, blowup_threshold,
-        snapshot_stride,
+        n_delay, weights * (dt * model.coeffs.p), model.a, dt, n_steps,
+        blowup_threshold, snapshot_stride,
     )
     echo = {
         "model": model, "tau_hat": tau_hat, "dt": dt,
@@ -267,8 +307,12 @@ def simulate_average_dde(
     keep = 1.0 - dt * delta_bar
 
     def advance(value, births, out):
-        for row, birth in enumerate(births.tolist()):
-            value = out[row] = keep * value + birth
+        if n_delay:
+            for row, birth in enumerate(births.tolist()):
+                value = out[row] = keep * value + birth
+        else:
+            for row in range(len(out)):
+                value = out[row] = keep * value + births(value)
         return value
 
     times, values, _ = _march(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse import csc_matrix, diags
 
 from .grid import Grid1D
@@ -50,9 +50,12 @@ class DiscreteLaplacian:
 
     ``main``, ``upper`` and ``lower`` are the three diagonals.  ``apply``
     works for real and complex nodal fields; ``factor`` solves the shifted
-    systems of the steady Newton and the time stepper; ``sparse`` gives the
-    shifted matrix that the bordered Hopf solves factor.  ``toarray``
-    densifies; it serves only ``characteristic_matrix`` and the tests.
+    systems of the steady Newton; ``weighted_factor`` solves the
+    Crank-Nicolson systems of the time stepper, multiplied by the
+    trapezoid weights (over the spacing) to make them symmetric positive
+    definite; ``sparse`` gives the shifted matrix that the bordered Hopf
+    solves factor.  ``toarray`` densifies; it serves only
+    ``characteristic_matrix`` and the tests.
     """
 
     grid: Grid1D
@@ -76,8 +79,8 @@ class DiscreteLaplacian:
         dense[idx[1:], idx[1:] - 1] = self.lower
         return dense
 
-    def factor(self, shift: np.ndarray | float, scale: float = 1.0) -> partial:
-        """One ``gttrf`` factor of scale * L + diag(shift), as its solver.
+    def factor(self, shift: np.ndarray | float) -> partial:
+        """One ``gttrf`` factor of L + diag(shift), as its solver.
 
         Returns ``dgttrs`` bound to the factor: ``solve(b)[0]`` is the
         solution of the real system with right-hand side ``b``.  A partial,
@@ -88,13 +91,40 @@ class DiscreteLaplacian:
         numpy.linalg.LinAlgError
             If elimination meets an exactly zero pivot.
         """
-        *lu, info = dgttrf(scale * self.lower, scale * self.main + shift,
-                           scale * self.upper)
+        *lu, info = dgttrf(self.lower, self.main + shift, self.upper)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"matrix is exactly singular: pivot U[{info - 1}, {info - 1}] "
                 "is zero")
         return partial(dgttrs, *lu)
+
+    def weighted_factor(self, scale: float) -> partial:
+        """One ``pttrf`` factor of W (I + scale L), as its solver.
+
+        W = diag(1/2, 1, ..., 1, 1/2) is the trapezoid weights over the
+        spacing.  W L is exactly symmetric and negative semidefinite, so
+        for ``scale <= 0`` the matrix is symmetric positive definite and
+        its LDL^T factor needs no pivoting.  W only halves the two end
+        rows, which is exact, so the matrix rounds as I + scale L does;
+        the trapezoid weights themselves would round every entry again
+        and let a solve lose the mass 1^T W u at about 4e-13 a step at
+        d = 100.  Returns ``dpttrs`` bound to the factor, used as
+        :meth:`factor`'s solver is; ``solve(b, True)`` writes the solution
+        over ``b``.
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            If the matrix is not positive definite.
+        """
+        weights = self.grid.weights / self.grid.spacing
+        *ldl, info = dpttrf(weights * (1.0 + scale * self.main),
+                            scale * weights[:-1] * self.upper)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"matrix is not positive definite: pivot D[{info - 1}] "
+                "is not positive")
+        return partial(dpttrs, *ldl)
 
     def sparse(self, diagonal_shift: np.ndarray | float = 0.0) -> csc_matrix:
         """Laplacian + diag(shift) as a sparse CSC matrix."""

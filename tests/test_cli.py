@@ -1,12 +1,15 @@
 """Command-line interface: config handling, tasks, exit codes, manifests."""
 
 import inspect
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nicholson import cli, normalform
@@ -782,6 +785,38 @@ class TestTaskOptions:
         assert code == 1
         assert "task.r_list is required" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("task, settings, name", [
+        ("average-dde", ["task.tau_check=1e-9", "task.t_end=1"],
+         "task.tau_check = 1e-09"),
+        ("average-dde", ["model.tau_hat=4e-4"], "model.tau_hat = 0.0004"),
+        ("simulate", ["model.tau_hat=1e-9"], "model.tau_hat = 1e-09"),
+        ("simulate", ["model.tau_hat=0.1", "task.dt=0.25"],
+         "model.tau_hat = 0.1"),
+    ])
+    def test_delay_below_half_step_stops_before_output(
+            self, tmp_path, fig2_config, no_solver, capsys, task, settings,
+            name):
+        # snapping dt down to such a delay once meant 1e9 steps and two
+        # 8 GB arrays for average-dde with tau_check = 1e-9, t_end = 1
+        start = time.perf_counter()
+        code, out = run_with(tmp_path, task, settings, fig2_config)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name} is positive but below "
+                              "half of task.dt")
+        assert not out.exists()
+
+    def test_delay_of_six_tenths_step_runs_with_snapped_dt(
+            self, tmp_path, fig2_config):
+        code, out = run_with(tmp_path, "average-dde",
+                             ["task.tau_check=6e-4", "task.t_end=0.5"],
+                             fig2_config)
+        assert code == 0
+        times = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)[:, 0]
+        assert times[1] == 6e-4
+        assert len(times) == math.ceil(0.5 / 6e-4 - 1e-12) + 1
 
     def test_manifest_lists_defaults(self, tmp_path, fig2_config, monkeypatch):
         def no_hopf(*args, **kwargs):

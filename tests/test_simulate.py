@@ -199,6 +199,28 @@ class TestPdeInterface:
         n_delay = round(trace.tau_hat / trace.dt)
         assert n_delay * trace.dt == pytest.approx(trace.tau_hat, rel=1e-14)
 
+    @pytest.mark.parametrize("delay", [1e-9, 0.499 * 3e-3])
+    def test_delay_below_half_step_rejected(self, delay):
+        # snapping dt down to a 1e-9 delay would take 1e10 steps
+        with pytest.raises(ValueError, match="below dt/2"):
+            _snap_step(delay, 3e-3, 10.0)
+        grid = Grid1D(length=3.0, n_points=11)
+        model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=delay / 10)
+        with pytest.raises(ValueError, match="below dt/2"):
+            simulate_pde(model, t_end=10.0, dt=3e-3)
+        with pytest.raises(ValueError, match="below dt/2"):
+            simulate_average_dde(math.exp(3.0), 1.0, 2.5, delay, t_end=10.0,
+                                 dt=3e-3)
+
+    def test_delay_of_half_step_or_more_snaps(self):
+        # round(0.5) is 0, and a delay of exactly dt/2 becomes one step
+        for delay in (0.5 * 3e-3, 0.6 * 3e-3):
+            assert _snap_step(delay, 3e-3, 0.3)[:2] == (delay, 1)
+        trace = simulate_average_dde(math.exp(3.0), 1.0, 2.5, 0.6 * 3e-3,
+                                     t_end=0.3, dt=3e-3)
+        assert trace.dt == 0.6 * 3e-3
+        assert len(trace.times) == math.ceil(0.3 / trace.dt - 1e-12) + 1
+
     def test_history_validation(self, fig1_model):
         n = fig1_model.grid.n_points
         with pytest.raises(ValueError, match="positive"):
@@ -364,6 +386,29 @@ class TestBlockMarchMatchesReference:
         assert round(expected.value.time / dt) == 290
         assert info.value.time == expected.value.time
         assert str(info.value) == f"solution exceeded 1e+06 at t = {info.value.time:.6g}"
+
+    @pytest.mark.parametrize("dt, history, threshold, step", [
+        # the explicit reaction is unstable: u leaves the finite range
+        (0.45, 1.0, 1e6, 7),
+        # growth from 1e-3 passes 0.5 inside the block of steps 129 .. 256,
+        # after the zero-delay ring of _CHUNK states has wrapped once
+        (2e-3, 1e-3, 0.5, 154),
+    ])
+    def test_zero_delay_blowup_inside_a_block(self, dt, history, threshold,
+                                              step):
+        # at zero delay advance evaluates each step's births itself
+        grid = Grid1D(3.0, 41)
+        model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=0.0)
+        with pytest.raises(BlowUpError) as expected:
+            reference_pde(model, lambda x, t: history, 400 * dt, dt,
+                          blowup_threshold=threshold)
+        with pytest.raises(BlowUpError) as info:
+            simulate_pde(model, history=history, t_end=400 * dt, dt=dt,
+                         blowup_threshold=threshold)
+        assert round(expected.value.time / dt) == step
+        assert info.value.time == expected.value.time
+        assert str(info.value) == (f"solution exceeded {threshold:.3g} at "
+                                   f"t = {info.value.time:.6g}")
 
 
 def test_long_delay_memory_is_bounded():

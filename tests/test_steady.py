@@ -52,15 +52,15 @@ class TestLaplacian:
 
 
 class TestFactor:
-    """``DiscreteLaplacian.factor`` against a dense solve of its matrix."""
+    """``factor`` and ``weighted_factor`` against a dense solve of their
+    matrices."""
 
     @staticmethod
-    def assert_matches_dense(lap, shift, scale):
-        n = lap.grid.n_points
+    def assert_matches_dense(solve, dense):
+        n = len(dense)
         b = np.random.default_rng(n).standard_normal(n)
-        x = lap.factor(shift, scale=scale)(b)[0]
-        dense = scale * lap.toarray() + np.diag(np.broadcast_to(shift, n))
         expected = np.linalg.solve(dense, b)
+        x = solve(b.copy())[0]
         assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n", [3, 201])
@@ -68,16 +68,57 @@ class TestFactor:
         # the Newton matrix L + r (p f'(u) - delta) at the fig. 2 solution
         model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=1.0)
         u = solve_steady_state(model).u
-        slope = model.coeffs.p * eval_nonlinearity(u, order=1) - model.coeffs.delta
-        self.assert_matches_dense(assemble_laplacian(model.grid),
-                                  model.r * slope, 1.0)
+        shift = model.r * (model.coeffs.p * eval_nonlinearity(u, order=1)
+                           - model.coeffs.delta)
+        lap = assemble_laplacian(model.grid)
+        self.assert_matches_dense(lap.factor(shift),
+                                  lap.toarray() + np.diag(shift))
 
     @pytest.mark.parametrize("n", [3, 201])
     @pytest.mark.parametrize("d", [0.1, 100.0])
     def test_stepper_form(self, n, d):
-        # the Crank-Nicolson matrix I - (dt d / 2) L at dt = 5e-3
-        lap = assemble_laplacian(Grid1D(length=3.0, n_points=n))
-        self.assert_matches_dense(lap, 1.0, -0.5 * 5e-3 * d)
+        # the weighted Crank-Nicolson matrix W - h W L, h = dt d / 2, at
+        # dt = 5e-3
+        grid = Grid1D(length=3.0, n_points=n)
+        lap = assemble_laplacian(grid)
+        h = 0.5 * 5e-3 * d
+        weights = np.diag(grid.weights / grid.spacing)
+        self.assert_matches_dense(lap.weighted_factor(-h),
+                                  weights - h * weights @ lap.toarray())
+
+    @pytest.mark.parametrize("d", [0.1, 100.0])
+    def test_stepper_keeps_mass(self, d):
+        # pure diffusion, u_new = (W A)^-1 (2 W u) - u, keeps 1^T W u; with
+        # W the trapezoid weights themselves, not over the spacing, the
+        # rounding of W (I - h L) made it drift by 8e-9 in these 20000
+        # steps at d = 100
+        grid = Grid1D(length=3.0, n_points=301)
+        solve = assemble_laplacian(grid).weighted_factor(-0.5 * 5e-3 * d)
+        w = grid.weights / grid.spacing
+        u = 1.0 + 0.1 * np.cos(grid.nodes) + 0.05 * np.sin(7 * grid.nodes)
+        mass = w @ u
+        for _ in range(20000):
+            u = solve(2.0 * w * u)[0] - u
+        assert abs(w @ u - mass) <= 1e-11 * mass
+
+    @pytest.mark.parametrize("length, n", [(3.0, 3), (3.0, 201), (0.7, 1201)])
+    def test_weighted_laplacian_symmetric_to_the_last_bit(self, length, n):
+        # the off-diagonals weighted_factor hands to pttrf, and W L itself
+        grid = Grid1D(length=length, n_points=n)
+        lap = assemble_laplacian(grid)
+        w = grid.weights / grid.spacing
+        assert w[0] == w[-1] == 0.5 and np.all(w[1:-1] == 1.0)
+        assert np.array_equal(w[:-1] * lap.upper, w[1:] * lap.lower)
+        weighted = w[:, None] * lap.toarray()
+        assert np.array_equal(weighted, weighted.T)
+        assert np.linalg.eigvalsh(weighted).max() <= 1e-12 * abs(weighted).max()
+
+    def test_weighted_not_positive_definite_raises(self):
+        # W (I + L) is indefinite: L reaches -4 / spacing^2
+        lap = assemble_laplacian(Grid1D(length=3.0, n_points=201))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="not positive definite: pivot D"):
+            lap.weighted_factor(1.0)
 
     def test_neumann_zero_pivot_raises(self):
         lap = assemble_laplacian(Grid1D(length=3.0, n_points=201))
