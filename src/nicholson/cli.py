@@ -18,6 +18,7 @@ import argparse
 import datetime
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from .config import (
@@ -410,7 +411,9 @@ def _finish_run(out: Path, echo: list[str], summary: list[str],
         print(f"wrote {out / name}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nicholson",
         description=(

@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.sparse import bmat, csc_matrix, diags
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .grid import Grid1D
@@ -173,8 +174,8 @@ def solve_poisson_meanzero(
         [A  1] [z     ]   [rhs]
         [w  0] [lambda] = [0  ]
 
-    which is nonsingular; the bordered matrix is sparse-LU factored as a
-    whole.
+    which is nonsingular; the bordered matrix is assembled directly in CSC
+    form by :func:`_poisson_matrix` and sparse-LU factored as a whole.
 
     Raises
     ------
@@ -195,11 +196,7 @@ def solve_poisson_meanzero(
             f"{abs(mean) / scale:.3e}); the Neumann problem is unsolvable"
         )
     solution = _bordered_solve(
-        assemble_laplacian(grid).sparse(),
-        np.ones((grid.n_points, 1)),
-        grid.weights[np.newaxis, :],
-        np.zeros((1, 1)),
-        np.append(rhs - mean, 0.0),
+        _poisson_matrix(assemble_laplacian(grid)), np.append(rhs - mean, 0.0)
     )
     return solution[:-1]
 
@@ -259,19 +256,103 @@ class _HopfNewtonFailure(RuntimeError):
     pass
 
 
-def _bordered_solve(core, cols, rows, corner, rhs):
-    """Solve [[core, cols], [rows, corner]] x = rhs by one sparse LU.
+@cache
+def _layout(kind: str, n: int):
+    """Fixed CSC pattern of the ``"poisson"`` or ``"hopf"`` system on n nodes.
 
-    ``core`` is a real sparse square matrix, ``cols``, ``rows`` and
-    ``corner`` the dense real border blocks.  The whole bordered matrix is
-    factored: the core may itself be singular (the Hopf z-block is, at the
-    solution), so it is never eliminated on its own.  A complex ``rhs`` is
-    solved as two real columns.
+    Returns ``(order, indices, indptr)``: ``values[order]`` is the CSC data
+    when ``values`` concatenates the matrix entries in the order that
+    :func:`_poisson_matrix` and :func:`_hopf_matrix` list them.  Row indices
+    are sorted within each column, as SciPy's block assembly of the same
+    blocks stores them.  The corner block stores only the Hopf entry
+    [0, 0]; the Poisson corner is empty.  The arrays are shared by every
+    matrix of this kind and size, so they are read only: an in-place prune
+    or sort raises instead of corrupting the next solve.
     """
-    matrix = bmat(
-        [[core, csc_matrix(cols)], [csc_matrix(rows), csc_matrix(corner)]],
-        format="csc",
-    )
+    i = np.arange(n)
+    # (row, column) of the lower, main and upper diagonal of L
+    tri = (np.concatenate([i[1:], i, i[:-1]]), np.concatenate([i[:-1], i, i[1:]]))
+    if kind == "poisson":
+        pieces = [tri, (i, n), (n, i)]
+        size = n + 1
+    else:
+        both = np.arange(2 * n)
+        pieces = [tri, (tri[0] + n, tri[1] + n), (i + n, i), (i, i + n),
+                  (np.tile(both, 3), np.repeat(2 * n + np.arange(3), 2 * n)),
+                  (2 * n, both), (2 * n + 1, i), (2 * n + 2, i + n),
+                  (2 * n, 2 * n)]
+        size = 2 * n + 3
+    pairs = [np.broadcast_arrays(rows, cols) for rows, cols in pieces]
+    rows = np.concatenate([np.ravel(r) for r, _ in pairs])
+    cols = np.concatenate([np.ravel(c) for _, c in pairs])
+    order = np.lexsort((rows, cols))
+    indices = rows[order].astype(np.int32)
+    indptr = np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32)
+    for array in (order, indices, indptr):
+        array.flags.writeable = False
+    return order, indices, indptr
+
+
+def _assemble(kind: str, n: int, values) -> csc_matrix:
+    """CSC matrix of :func:`_layout` ``(kind, n)`` holding ``values``.
+
+    An exact zero is left out, as block assembly leaves it out, so the
+    sparse LU sees the same pattern and pivots alike; the pruned arrays are
+    copies.
+    """
+    order, indices, indptr = _layout(kind, n)
+    data = np.concatenate(values)[order]
+    stored = data != 0.0
+    if not stored.all():
+        data, indices = data[stored], indices[stored]
+        indptr = np.append(np.int32(0), np.cumsum(stored, dtype=np.int32))[indptr]
+    size = len(indptr) - 1
+    return csc_matrix((data, indices, indptr), shape=(size, size))
+
+
+def _poisson_matrix(laplacian: DiscreteLaplacian) -> csc_matrix:
+    """The (n+1)-square Neumann Poisson matrix [[L, 1], [w, 0]]."""
+    n = laplacian.grid.n_points
+    return _assemble("poisson", n, [
+        laplacian.lower, laplacian.main, laplacian.upper,
+        np.ones(n), laplacian.grid.weights,
+    ])
+
+
+def _hopf_matrix(laplacian: DiscreteLaplacian, shift, cols, norm_row,
+                 corner: float) -> csc_matrix:
+    """The real (2n+3)-square matrix of one Hopf Newton step.
+
+        [L + Re S   -Im S      Re C]
+        [Im S       L + Re S   Im C]
+        [norm_row              corner e0^T]
+        [w          0          0   ]
+        [0          w          0   ]
+
+    ``shift`` is the complex diagonal S and ``cols`` the three complex
+    columns C.  The normalization row holds the real and the imaginary
+    part of the complex ``norm_row``; ``corner`` is its entry in the first
+    border column.
+    """
+    n = laplacian.grid.n_points
+    weights = laplacian.grid.weights
+    diagonal = laplacian.main + shift.real
+    tri = [laplacian.lower, diagonal, laplacian.upper]
+    return _assemble("hopf", n, [
+        *tri, *tri, shift.imag, -shift.imag,
+        *(part for col in cols for part in (col.real, col.imag)),
+        norm_row.real, norm_row.imag, weights, weights, [corner],
+    ])
+
+
+def _bordered_solve(matrix: csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve a bordered system by one sparse LU of the whole matrix.
+
+    ``matrix`` is a real CSC matrix from :func:`_poisson_matrix` or
+    :func:`_hopf_matrix`.  Its core is never eliminated on its own, since
+    it may itself be singular (the Hopf z-block is, at the solution).  A
+    complex ``rhs`` is solved as two real columns.
+    """
     try:
         lu = splu(matrix)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -321,8 +402,9 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray,
 
     Solves the real bordered system: 2n rows for g1, one for the
     normalization g2 and two pinning the quadrature mean of z to zero.  Its
-    core is the sparse 2n x 2n z-block; the bordered matrix is sparse-LU
-    factored as a whole by :func:`_bordered_solve`.
+    core is the 2n x 2n z-block; :func:`_hopf_matrix` fills the bordered
+    matrix into a fixed CSC pattern and :func:`_bordered_solve` sparse-LU
+    factors it as a whole.
 
     No tolerance is set: the iteration stops when every residual block is
     below 2 eps times the magnitudes it is built from (the floor ratio of
@@ -355,25 +437,18 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray,
         best = min(best, res_norm)
         previous = ratio
 
-        block = laplacian.sparse(model.r * coupling.real)
-        im_c = diags(model.r * coupling.imag)
-        core = bmat([[block, -im_c], [im_c, block]])
-        # columns d/d(beta, omega, theta) of g1, split into real and imag
-        cols = np.column_stack([
+        # columns d/d(beta, omega, theta) of g1
+        cols = (
             coupling * c0,
             -1j * psi,
             -1j * np.exp(-1j * theta) * coeffs.p * fprime * psi,
-        ])
-        rows = np.zeros((3, 2 * n))
-        rows[0, :n] = 2.0 * model.r**2 * weights * z.real
-        rows[0, n:] = 2.0 * model.r**2 * weights * z.imag
-        rows[1, :n] = weights
-        rows[2, n:] = weights
-        corner = np.zeros((3, 3))
-        corner[0, 0] = 2.0 * beta * c0 * c0 * model.grid.length
-        delta = _bordered_solve(
-            core, np.vstack([cols.real, cols.imag]), rows, corner, -residual
         )
+        matrix = _hopf_matrix(
+            laplacian, model.r * coupling, cols,
+            2.0 * model.r**2 * weights * z,
+            2.0 * beta * c0 * c0 * model.grid.length,
+        )
+        delta = _bordered_solve(matrix, -residual)
         z = z + delta[:n] + 1j * delta[n : 2 * n]
         beta += delta[2 * n]
         omega += delta[2 * n + 1]

@@ -71,7 +71,9 @@ class PeriodEstimate:
 
     ``trend_ratio`` compares the half peak-to-peak swing of the second half
     of the tail with that of the first half: near 1 for a saturated orbit,
-    well below 1 while a sub-threshold oscillation is still dying out.
+    well below 1 while a sub-threshold oscillation is still dying out, and
+    exactly 1 for a settled tail, whose two half swings are below the
+    roundoff floor.
     """
 
     oscillating: bool
@@ -373,10 +375,14 @@ def estimate_period(
     tail = trace.mean_series[-n_tail:]
     tail_times = trace.times[-n_tail:]
     swing = 0.5 * (tail.max() - tail.min())
-    level = abs(tail.mean())
+    floor = relative_floor * max(abs(tail.mean()), 1e-300)
     first, second = tail[: n_tail // 2], tail[n_tail // 2:]
     swing_first = 0.5 * (first.max() - first.min())
     swing_second = 0.5 * (second.max() - second.min())
+    if swing_first <= floor:
+        swing_first = 0.0
+    if swing_second <= floor:
+        swing_second = 0.0
     if swing_first == 0.0:
         trend_ratio = 1.0 if swing_second == 0.0 else math.inf
     else:
@@ -384,7 +390,7 @@ def estimate_period(
     peaks = _local_maxima(tail)
     oscillating = (
         len(peaks) >= 3
-        and swing > relative_floor * max(level, 1e-300)
+        and swing > floor
         and trend_ratio >= trend_floor
     )
     if not oscillating:

@@ -17,7 +17,6 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
-from scipy.sparse import csc_matrix, diags
 
 from .grid import Grid1D
 from .model import ModelParams, eval_nonlinearity
@@ -53,9 +52,9 @@ class DiscreteLaplacian:
     systems of the steady Newton; ``weighted_factor`` solves the
     Crank-Nicolson systems of the time stepper, multiplied by the
     trapezoid weights (over the spacing) to make them symmetric positive
-    definite; ``sparse`` gives the shifted matrix that the bordered Hopf
-    solves factor.  ``toarray`` densifies; it serves only
-    ``characteristic_matrix`` and the tests.
+    definite.  The bordered Poisson and Hopf solves of :mod:`.hopf` copy
+    the three diagonals into their own CSC matrices.  ``toarray``
+    densifies; it serves only ``characteristic_matrix`` and the tests.
     """
 
     grid: Grid1D
@@ -125,13 +124,6 @@ class DiscreteLaplacian:
                 f"matrix is not positive definite: pivot D[{info - 1}] "
                 "is not positive")
         return partial(dpttrs, *ldl)
-
-    def sparse(self, diagonal_shift: np.ndarray | float = 0.0) -> csc_matrix:
-        """Laplacian + diag(shift) as a sparse CSC matrix."""
-        return diags(
-            [self.lower, self.main + diagonal_shift, self.upper],
-            offsets=[-1, 0, 1], format="csc",
-        )
 
 
 def assemble_laplacian(grid: Grid1D) -> DiscreteLaplacian:

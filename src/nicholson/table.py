@@ -2,8 +2,9 @@
 
 Numbers are written as ``%.12g``, text and integer cells as they are, and
 :data:`BLANK` as an empty cell of a numeric column.  Rows are formatted and
-written in blocks of :data:`BLOCK_ROWS`, so a long trace costs one format
-call and one write per block and its transient memory stays small.
+written in blocks of :data:`BLOCK_ROWS`, so a long trace costs one ``%``
+format of the whole block and one write per block, and its transient
+memory stays small.
 """
 
 from __future__ import annotations
@@ -22,12 +23,19 @@ BLANK = _Blank()
 
 
 def _write_rows(handle, columns) -> None:
-    columns = [np.asarray(column) for column in columns]
-    fmt = ",".join("{}" if column.dtype.kind in "iuU" else "{:.12g}"
-                   for column in columns) + "\n"
+    # %.12g cannot format BLANK, so an object column is formatted up front
+    columns = [np.array([format(cell, ".12g") for cell in column.tolist()])
+               if column.dtype.kind == "O" else column
+               for column in map(np.asarray, columns)]
+    ncol = len(columns)
+    row_fmt = ",".join("%s" if column.dtype.kind in "iuU" else "%.12g"
+                       for column in columns) + "\n"
     for k in range(0, len(columns[0]), BLOCK_ROWS):
-        block = [column[k:k + BLOCK_ROWS].tolist() for column in columns]
-        handle.write("".join(map(fmt.format, *block)))
+        rows = min(BLOCK_ROWS, len(columns[0]) - k)
+        cells = [None] * (rows * ncol)
+        for c, column in enumerate(columns):
+            cells[c::ncol] = column[k:k + BLOCK_ROWS].tolist()
+        handle.write((row_fmt * rows) % tuple(cells))
 
 
 def write_table(path, header: str, *groups, preamble=()) -> None:

@@ -3,12 +3,14 @@
 The two coefficient families used throughout are the built-in sets
 (length 3, a = 2.5, delta = 2 + cos(0.2 x), p = 10 + sin x or 30 + sin x).
 Continuations are session-scoped because several test modules and the
-acceptance suite compare against the same branches.
+acceptance suite compare against the same branches.  ``sparse_laplacian``
+gives the reference solvers the shifted Laplacian as a SciPy matrix.
 """
 
 import math
 
 import pytest
+from scipy.sparse import csc_matrix, diags
 
 from nicholson.grid import Grid1D
 from nicholson.hopf import continue_hopf
@@ -27,6 +29,12 @@ def figure_model(which: str, grid: Grid1D, r: float, tau: float = 0.0) -> ModelP
         CoefficientSpec.parse(p_text), CoefficientSpec.parse(FIG_DELTA), grid
     )
     return ModelParams(r=r, a=FIG_A, tau=tau, grid=grid, coeffs=coeffs)
+
+
+def sparse_laplacian(laplacian, shift=0.0) -> csc_matrix:
+    """L + diag(shift) as a sparse CSC matrix, exact zeros left out."""
+    return diags([laplacian.lower, laplacian.main + shift, laplacian.upper],
+                 offsets=[-1, 0, 1], format="csc")
 
 
 def constant_model(c0: float, grid: Grid1D, r: float,

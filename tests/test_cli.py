@@ -491,6 +491,23 @@ class TestDeterminism:
         ]
         assert all(a.startswith("# generated") for a, _ in differing)
 
+    def test_runs_in_one_process_do_not_share_settings(self, tmp_path,
+                                                       fig2_config):
+        # the parser is built once per process; the --set list of one run
+        # must not reach the next
+        assert cli._build_parser() is cli._build_parser()
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out, setting in zip(outs, ["model.n_points=21", "model.a=2.0"]):
+            assert main(["steady", "--config", str(fig2_config),
+                         "--out", str(out), "--set", setting]) == 0
+        rows = [len((out / "steady.csv").read_text().splitlines())
+                for out in outs]
+        assert rows == [22, 122]
+        manifests = [(out / "manifest.txt").read_text().splitlines()
+                     for out in outs]
+        assert "# a = 2.5" in manifests[0] and "# a = 2" in manifests[1]
+        assert cli._build_parser().parse_args(["steady"]).set == []
+
 
 class TestExitCodes:
     def test_config_error_is_one(self, tmp_path, fig2_config, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csc_matrix
+from scipy.sparse import bmat, csc_matrix, diags
 
 import nicholson.hopf as hopf_module
 from nicholson.grid import Grid1D
@@ -26,9 +26,9 @@ from nicholson.hopf import (
     write_hopf_csv,
 )
 from nicholson.model import CoefficientSpec, build_coefficients
-from nicholson.steady import solve_steady_state
+from nicholson.steady import assemble_laplacian, solve_steady_state
 
-from conftest import constant_model, figure_model
+from conftest import constant_model, figure_model, sparse_laplacian
 
 import oracles
 
@@ -109,6 +109,138 @@ class TestMeanZeroPoisson:
         assert abs(mean) <= 1e-10 * np.abs(rhs).max()
 
 
+def reference_bordered(core, cols, rows, corner):
+    """[[core, cols], [rows, corner]] by SciPy block assembly."""
+    return bmat(
+        [[core, csc_matrix(cols)], [csc_matrix(rows), csc_matrix(corner)]],
+        format="csc",
+    )
+
+
+def reference_poisson_matrix(laplacian):
+    n = laplacian.grid.n_points
+    return reference_bordered(sparse_laplacian(laplacian), np.ones((n, 1)),
+                              laplacian.grid.weights[np.newaxis, :],
+                              np.zeros((1, 1)))
+
+
+def reference_hopf_matrix(laplacian, shift, cols, norm_row, corner):
+    n = laplacian.grid.n_points
+    weights = laplacian.grid.weights
+    block = sparse_laplacian(laplacian, shift.real)
+    im_c = diags(shift.imag)
+    core = bmat([[block, -im_c], [im_c, block]])
+    cols = np.column_stack(cols)
+    rows = np.zeros((3, 2 * n))
+    rows[0, :n] = norm_row.real
+    rows[0, n:] = norm_row.imag
+    rows[1, :n] = weights
+    rows[2, n:] = weights
+    corners = np.zeros((3, 3))
+    corners[0, 0] = corner
+    return reference_bordered(core, np.vstack([cols.real, cols.imag]), rows,
+                              corners)
+
+
+def assert_same_csc(got, want):
+    assert got.format == want.format == "csc"
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+
+
+def random_hopf_inputs(n, seed, zeros=False):
+    rng = np.random.default_rng(seed)
+
+    def field():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    shift, cols, norm_row = field(), (field(), field(), field()), field()
+    if zeros:  # exact zeros that block assembly leaves out
+        shift.imag[::2] = 0.0
+        cols[1].real[:] = -0.0
+        norm_row[1::3] = 0.0
+    return shift, cols, norm_row, 2.5
+
+
+class TestAssembly:
+    """The bordered matrices are filled into a cached CSC pattern; they must
+    store exactly what SciPy block assembly stores, so that SuperLU orders
+    and pivots them alike."""
+
+    @pytest.mark.parametrize("n", [3, 201])
+    def test_poisson_matches_block_assembly(self, n):
+        laplacian = assemble_laplacian(Grid1D(length=3.0, n_points=n))
+        assert_same_csc(hopf_module._poisson_matrix(laplacian),
+                        reference_poisson_matrix(laplacian))
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("n", [3, 201])
+    def test_hopf_matches_block_assembly(self, n, zeros):
+        laplacian = assemble_laplacian(Grid1D(length=3.0, n_points=n))
+        inputs = random_hopf_inputs(n, seed=n, zeros=zeros)
+        got = hopf_module._hopf_matrix(laplacian, *inputs)
+        left_out = 2 * len(range(0, n, 2)) + n + 2 * len(range(1, n, 3))
+        assert got.nnz == 18 * n - 3 - (left_out if zeros else 0)
+        assert_same_csc(got, reference_hopf_matrix(laplacian, *inputs))
+
+    @pytest.mark.parametrize("n", [3, 201])
+    def test_newton_matrices_match_block_assembly(self, monkeypatch, n):
+        # the matrices of a real continuation, rebuilt from the same blocks
+        model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=1e-2)
+        real_matrix = hopf_module._hopf_matrix
+        built = []
+
+        def recording(*args):
+            built.append((args, real_matrix(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(hopf_module, "_hopf_matrix", recording)
+        continue_hopf(model, 2e-2)
+        assert len(built) >= 2
+        for args, matrix in built:
+            assert_same_csc(matrix, reference_hopf_matrix(*args))
+
+    def test_cached_pattern_survives_solves(self, monkeypatch):
+        # two consecutive Newton solves share the pattern; neither may
+        # prune or sort it in place
+        n = 41
+        model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=1e-2)
+        continue_hopf(model, 1e-2)
+        layout = hopf_module._layout("hopf", n)
+        before = [array.copy() for array in layout]
+        real_solve = hopf_module._bordered_solve
+        solved = []
+
+        def recording(matrix, rhs):
+            solved.append((matrix.nnz, matrix.indices.copy()))
+            return real_solve(matrix, rhs)
+
+        monkeypatch.setattr(hopf_module, "_bordered_solve", recording)
+        continue_hopf(model, 2e-2)
+        assert hopf_module._layout("hopf", n) is layout
+        for array, copy in zip(layout, before):
+            assert not array.flags.writeable
+            assert np.array_equal(array, copy)
+        newton = solved[1:]  # less the Poisson solve of the limit
+        assert len(newton) >= 2
+        for nnz, indices in newton:
+            assert nnz == 18 * n - 3
+            assert np.array_equal(indices, layout[1])
+
+    def test_shared_pattern_is_read_only(self):
+        laplacian = assemble_laplacian(Grid1D(length=3.0, n_points=5))
+        matrix = hopf_module._hopf_matrix(laplacian,
+                                          *random_hopf_inputs(5, seed=1))
+        assert np.shares_memory(matrix.indices, hopf_module._layout("hopf", 5)[1])
+        with pytest.raises(ValueError):
+            matrix.eliminate_zeros()
+        with pytest.raises(ValueError):
+            matrix.indices[0] = 1
+
+
 class TestBorderedSolve:
     def test_matches_dense_solve(self, monkeypatch):
         # record the Poisson and the first Hopf-Newton system of a real
@@ -124,27 +256,21 @@ class TestBorderedSolve:
         grid = Grid1D(length=3.0, n_points=41)
         continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
         poisson, newton = systems[0], systems[1]
-        assert poisson[0].shape == (41, 41)
-        assert newton[0].shape == (82, 82)
-        assert np.iscomplexobj(poisson[4]) and not np.iscomplexobj(newton[4])
+        assert poisson[0].shape == (42, 42)
+        assert newton[0].shape == (85, 85)
+        assert np.iscomplexobj(poisson[1]) and not np.iscomplexobj(newton[1])
         rng = np.random.default_rng(3)
-        complex_rhs = newton[4] + 1j * rng.standard_normal(newton[4].size)
-        for core, cols, rows, corner, rhs in (
-            poisson, newton, newton[:4] + (complex_rhs,)
-        ):
-            dense = np.block([[core.toarray(), cols], [rows, corner]])
-            expected = np.linalg.solve(dense, rhs)
-            got = real_solve(core, cols, rows, corner, rhs)
+        complex_rhs = newton[1] + 1j * rng.standard_normal(newton[1].size)
+        for matrix, rhs in (poisson, newton, (newton[0], complex_rhs)):
+            expected = np.linalg.solve(matrix.toarray(), rhs)
+            got = real_solve(matrix, rhs)
             error = np.linalg.norm(got - expected)
             assert error <= 1e-12 * np.linalg.norm(expected)
 
     def test_singular_matrix_is_newton_failure(self):
-        core = csc_matrix((2, 2))
+        matrix = csc_matrix(([1.0], [2], [0, 0, 0, 1]), shape=(3, 3))
         with pytest.raises(hopf_module._HopfNewtonFailure, match="singular"):
-            hopf_module._bordered_solve(
-                core, np.zeros((2, 1)), np.zeros((1, 2)), np.ones((1, 1)),
-                np.ones(3),
-            )
+            hopf_module._bordered_solve(matrix, np.ones(3))
 
 
 class TestContinuation:

@@ -13,7 +13,7 @@ from scipy.sparse import identity
 from scipy.sparse.linalg import splu
 
 import oracles
-from conftest import constant_model, figure_model
+from conftest import constant_model, figure_model, sparse_laplacian
 
 from nicholson.grid import Grid1D, spatial_average
 from nicholson.simulate import (
@@ -76,6 +76,30 @@ class TestPeriodEstimator:
         values = 1.0 + 0.05 * np.exp(-0.01 * t) * np.sin(2 * math.pi * t / 5)
         est = estimate_period(synthetic_trace(values, 0.01), trend_floor=0.0)
         assert est.oscillating
+
+    @pytest.mark.parametrize("wide", [0, 1])
+    def test_ulp_noise_on_a_constant_reads_one(self, wide):
+        # a settled tail is all roundoff: one half of this tail swings by
+        # one ulp, the other by half of that, and the ratio must not read
+        # 2 or 0.5 from the last bit
+        level = 0.654150616857
+        rng = np.random.default_rng(wide)
+        noise = rng.integers(-1, 2, 20_000)
+        half = slice(15_000, 17_500) if wide else slice(17_500, None)
+        noise[half] = rng.integers(0, 2, 2_500)
+        est = estimate_period(synthetic_trace(level + np.spacing(level) * noise,
+                                              0.01))
+        assert not est.oscillating
+        assert est.trend_ratio == 1.0
+
+    @pytest.mark.parametrize("index", [-10, -4000])
+    def test_one_ulp_step_in_either_half_reads_one(self, index):
+        # a flat half next to a one-ulp swing read inf or 0 as a ratio
+        values = np.full(20_000, 0.7)
+        values[index] = np.nextafter(0.7, 1.0)
+        est = estimate_period(synthetic_trace(values, 0.01))
+        assert not est.oscillating
+        assert est.trend_ratio == 1.0
 
     def test_tail_fraction_bounds(self):
         trace = synthetic_trace(np.ones(1000), 0.01)
@@ -153,6 +177,7 @@ class TestPdeOscillation:
         est = estimate_period(trace)
         assert est.oscillating
         assert est.n_peaks >= 10
+        assert est.trend_ratio == pytest.approx(1.0, abs=1e-3)
 
     def test_fig2_zero_delay_settles(self):
         grid = Grid1D(length=3.0, n_points=201)
@@ -160,6 +185,7 @@ class TestPdeOscillation:
         trace = simulate_pde(model, t_end=300.0)
         est = estimate_period(trace)
         assert not est.oscillating
+        assert est.trend_ratio == 1.0
         c0 = model.coeffs.c0
         assert trace.mean_series[-1] == pytest.approx(c0 / model.a, rel=0.05)
 
@@ -283,7 +309,7 @@ def reference_pde(model, history, t_end, dt, snapshot_stride=None,
     dt, n_delay, n_steps = _snap_step(model.tau_hat, dt, t_end)
     grid, n = model.grid, model.grid.n_points
     half = 0.5 * dt * model.d
-    lap = assemble_laplacian(grid).sparse()
+    lap = sparse_laplacian(assemble_laplacian(grid))
     implicit = splu(identity(n, format="csc") - half * lap)
     explicit = identity(n, format="csc") + half * lap
     p, delta, a = model.coeffs.p, model.coeffs.delta, model.a

@@ -21,7 +21,7 @@ from nicholson.steady import (
     write_steady_csv,
 )
 
-from conftest import constant_model, figure_model
+from conftest import constant_model, figure_model, sparse_laplacian
 
 class TestLaplacian:
     def test_row_sums_vanish_exactly(self):
@@ -224,7 +224,7 @@ class TestStoppingRule:
             residual[1:] += lap.lower * wide[:-1]
             residual += r * (p * wide * np.exp(-wide) - delta * wide)
             slope = model.coeffs.p * eval_nonlinearity(wide.astype(float), order=1)
-            jacobian = lap.sparse(r * (slope - model.coeffs.delta))
+            jacobian = sparse_laplacian(lap, r * (slope - model.coeffs.delta))
             wide -= spsolve(jacobian, residual.astype(float))
         assert np.abs(u - wide).max() < 1e-14
 
