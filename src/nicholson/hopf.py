@@ -23,11 +23,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .grid import Grid1D
 from .model import CoefficientField, ModelParams, eval_nonlinearity
@@ -174,8 +171,9 @@ def solve_poisson_meanzero(
         [A  1] [z     ]   [rhs]
         [w  0] [lambda] = [0  ]
 
-    which is nonsingular; the bordered matrix is assembled directly in CSC
-    form by :func:`_poisson_matrix` and sparse-LU factored as a whole.
+    which is nonsingular, by :func:`_bordered_solve`: the complex lambda is
+    two real border unknowns with columns 1 and i, and the complex mean pin
+    two real rows.
 
     Raises
     ------
@@ -195,10 +193,10 @@ def solve_poisson_meanzero(
             f"rhs has quadrature mean {abs(mean):.3e} (relative "
             f"{abs(mean) / scale:.3e}); the Neumann problem is unsolvable"
         )
-    solution = _bordered_solve(
-        _poisson_matrix(assemble_laplacian(grid)), np.append(rhs - mean, 0.0)
-    )
-    return solution[:-1]
+    ones, weights = np.ones(grid.n_points), grid.weights
+    z, _ = _bordered_solve(assemble_laplacian(grid), 0j, (ones, 1j * ones),
+                           (weights, 1j * weights), 0.0, rhs - mean, np.zeros(2))
+    return z
 
 
 def limit_hopf_data(coeffs: CoefficientField, grid: Grid1D) -> LimitHopfData:
@@ -256,115 +254,72 @@ class _HopfNewtonFailure(RuntimeError):
     pass
 
 
-@cache
-def _layout(kind: str, n: int):
-    """Fixed CSC pattern of the ``"poisson"`` or ``"hopf"`` system on n nodes.
+_DEFLATED_NODE = 1  # k of the rank-one deflation; interior on every grid
 
-    Returns ``(order, indices, indptr)``: ``values[order]`` is the CSC data
-    when ``values`` concatenates the matrix entries in the order that
-    :func:`_poisson_matrix` and :func:`_hopf_matrix` list them.  Row indices
-    are sorted within each column, as SciPy's block assembly of the same
-    blocks stores them.  The corner block stores only the Hopf entry
-    [0, 0]; the Poisson corner is empty.  The arrays are shared by every
-    matrix of this kind and size, so they are read only: an in-place prune
-    or sort raises instead of corrupting the next solve.
+
+def _bordered_solve(laplacian: DiscreteLaplacian, shift, cols, rows, corner,
+                    g: np.ndarray, h: np.ndarray):
+    """Solve a bordered tridiagonal system by one deflated ``zgttrf`` factor.
+
+    The unknowns are a complex nodal field z and m real numbers p, and the
+    equations, for a complex ``shift``, are n complex and m real rows,
+
+        (L + diag(shift)) z + sum_j p_j cols[j] = g,
+        Re(conj(rows[i]) . z) + (corner p)_i    = h_i,
+
+    so a complex pin w . z = c is the two rows ``w`` and ``1j * w``.  The
+    core A = L + diag(shift) may be singular (the Hopf z-block is, at the
+    solution), so it is not factored itself.  With t = z_k, k a fixed node
+    and s = L[k, k], the solve factors T = A + s e_k e_k^T and writes
+
+        z = T^-1 g + t s T^-1 e_k - sum_j p_j T^-1 cols[j]
+
+    from one ``zgttrs`` solve with m + 2 right-hand sides.  The two real
+    rows of t = z_k and the m border rows are then a dense real system of
+    size m + 2 for (Re t, Im t, p).
+
+    T is nonsingular because det T = det A + s adj(A)_kk.  For the
+    Poisson core A = L, W T = W L + s w_k e_k e_k^T is negative definite:
+    W L is negative semidefinite with only the constants in its kernel,
+    and s < 0.  For the Hopf core at the solution det A = 0, and adj(A)_kk
+    is proportional to w_k psi_k^2, which is nonzero because psi is close
+    to beta c0.
+
+    Returns ``(z, p)``.
+
+    Raises
+    ------
+    _HopfNewtonFailure
+        If T has an exactly zero pivot or the reduced system is singular.
     """
-    i = np.arange(n)
-    # (row, column) of the lower, main and upper diagonal of L
-    tri = (np.concatenate([i[1:], i, i[:-1]]), np.concatenate([i[:-1], i, i[1:]]))
-    if kind == "poisson":
-        pieces = [tri, (i, n), (n, i)]
-        size = n + 1
-    else:
-        both = np.arange(2 * n)
-        pieces = [tri, (tri[0] + n, tri[1] + n), (i + n, i), (i, i + n),
-                  (np.tile(both, 3), np.repeat(2 * n + np.arange(3), 2 * n)),
-                  (2 * n, both), (2 * n + 1, i), (2 * n + 2, i + n),
-                  (2 * n, 2 * n)]
-        size = 2 * n + 3
-    pairs = [np.broadcast_arrays(rows, cols) for rows, cols in pieces]
-    rows = np.concatenate([np.ravel(r) for r, _ in pairs])
-    cols = np.concatenate([np.ravel(c) for _, c in pairs])
-    order = np.lexsort((rows, cols))
-    indices = rows[order].astype(np.int32)
-    indptr = np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32)
-    for array in (order, indices, indptr):
-        array.flags.writeable = False
-    return order, indices, indptr
-
-
-def _assemble(kind: str, n: int, values) -> csc_matrix:
-    """CSC matrix of :func:`_layout` ``(kind, n)`` holding ``values``.
-
-    An exact zero is left out, as block assembly leaves it out, so the
-    sparse LU sees the same pattern and pivots alike; the pruned arrays are
-    copies.
-    """
-    order, indices, indptr = _layout(kind, n)
-    data = np.concatenate(values)[order]
-    stored = data != 0.0
-    if not stored.all():
-        data, indices = data[stored], indices[stored]
-        indptr = np.append(np.int32(0), np.cumsum(stored, dtype=np.int32))[indptr]
-    size = len(indptr) - 1
-    return csc_matrix((data, indices, indptr), shape=(size, size))
-
-
-def _poisson_matrix(laplacian: DiscreteLaplacian) -> csc_matrix:
-    """The (n+1)-square Neumann Poisson matrix [[L, 1], [w, 0]]."""
-    n = laplacian.grid.n_points
-    return _assemble("poisson", n, [
-        laplacian.lower, laplacian.main, laplacian.upper,
-        np.ones(n), laplacian.grid.weights,
-    ])
-
-
-def _hopf_matrix(laplacian: DiscreteLaplacian, shift, cols, norm_row,
-                 corner: float) -> csc_matrix:
-    """The real (2n+3)-square matrix of one Hopf Newton step.
-
-        [L + Re S   -Im S      Re C]
-        [Im S       L + Re S   Im C]
-        [norm_row              corner e0^T]
-        [w          0          0   ]
-        [0          w          0   ]
-
-    ``shift`` is the complex diagonal S and ``cols`` the three complex
-    columns C.  The normalization row holds the real and the imaginary
-    part of the complex ``norm_row``; ``corner`` is its entry in the first
-    border column.
-    """
-    n = laplacian.grid.n_points
-    weights = laplacian.grid.weights
-    diagonal = laplacian.main + shift.real
-    tri = [laplacian.lower, diagonal, laplacian.upper]
-    return _assemble("hopf", n, [
-        *tri, *tri, shift.imag, -shift.imag,
-        *(part for col in cols for part in (col.real, col.imag)),
-        norm_row.real, norm_row.imag, weights, weights, [corner],
-    ])
-
-
-def _bordered_solve(matrix: csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve a bordered system by one sparse LU of the whole matrix.
-
-    ``matrix`` is a real CSC matrix from :func:`_poisson_matrix` or
-    :func:`_hopf_matrix`.  Its core is never eliminated on its own, since
-    it may itself be singular (the Hopf z-block is, at the solution).  A
-    complex ``rhs`` is solved as two real columns.
-    """
+    k = _DEFLATED_NODE
+    deflation = np.zeros(laplacian.grid.n_points)
+    deflation[k] = laplacian.main[k]
     try:
-        lu = splu(matrix)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        solve = laplacian.factor(shift + deflation)
+    except np.linalg.LinAlgError as exc:
         raise _HopfNewtonFailure(str(exc)) from None
-    if np.iscomplexobj(rhs):
-        solution = lu.solve(np.column_stack([rhs.real, rhs.imag]))
-        return solution[:, 0] + 1j * solution[:, 1]
-    return lu.solve(rhs)
+    solved = solve(np.column_stack([g, deflation, *cols]))[0]
+    base = solved[:, 0]
+    # z = base + basis @ (Re t, Im t, p)
+    basis = np.column_stack([solved[:, 1], 1j * solved[:, 1], -solved[:, 2:]])
+    tie = basis[k].copy()
+    tie[:2] -= (1.0, 1j)
+    rows = np.conj(rows)
+    border = (rows @ basis).real
+    border[:, 2:] += corner
+    try:
+        unknowns = np.linalg.solve(
+            np.vstack([tie.real, tie.imag, border]),
+            np.concatenate([[-base[k].real, -base[k].imag], h - (rows @ base).real]),
+        )
+    except np.linalg.LinAlgError:
+        raise _HopfNewtonFailure("the reduced bordered system is singular") from None
+    return base + basis @ unknowns, unknowns[2:]
 
 
 def _hopf_residual(state, model, u, laplacian):
-    """Stacked real residual (g1, g2, mean), its norm, floor ratio, coupling, psi.
+    """Residual (g1, (g2, Re mean, Im mean)), its norm, floor ratio, coupling, psi.
 
     The norm is max(|g1|, |g2|, |mean|).  The floor ratio is the largest
     ratio of a block to eps times the terms it sums, before they cancel:
@@ -384,7 +339,7 @@ def _hopf_residual(state, model, u, laplacian):
     norm_sq = float(weights @ (z.real**2 + z.imag**2))
     g2 = (beta * beta - 1.0) * c0 * c0 * model.grid.length + model.r**2 * norm_sq
     mean = weights @ z
-    residual = np.concatenate([g1.real, g1.imag, [g2, mean.real, mean.imag]])
+    residual = (g1, np.array([g2, mean.real, mean.imag]))
     res_norm = max(float(np.abs(g1).max()), abs(g2), abs(mean))
     abs_z, abs_psi = np.abs(z), np.abs(psi)
     # |L||z| = L|z| - 2 diag(L)|z|: the diagonal is negative, the rest not
@@ -400,11 +355,12 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray,
                  laplacian: DiscreteLaplacian):
     """Newton correction of (z, beta, omega, theta) at fixed r.
 
-    Solves the real bordered system: 2n rows for g1, one for the
-    normalization g2 and two pinning the quadrature mean of z to zero.  Its
-    core is the 2n x 2n z-block; :func:`_hopf_matrix` fills the bordered
-    matrix into a fixed CSC pattern and :func:`_bordered_solve` sparse-LU
-    factors it as a whole.
+    Each step solves the bordered system of n complex rows for g1, one real
+    row for the normalization g2 and two pinning the quadrature mean of z
+    to zero, in dz and the real (dbeta, domega, dtheta), by
+    :func:`_bordered_solve`.  Its core, L + diag(r coupling), is singular
+    at the solution, with kernel psi; the deflated factor stays
+    nonsingular because psi, close to beta c0, does not vanish.
 
     No tolerance is set: the iteration stops when every residual block is
     below 2 eps times the magnitudes it is built from (the floor ratio of
@@ -413,7 +369,6 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray,
     """
     z, beta, omega, theta = state
     z = np.array(z, dtype=complex)
-    n = model.grid.n_points
     weights = model.grid.weights
     coeffs = model.coeffs
     c0 = coeffs.c0
@@ -422,7 +377,7 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray,
     previous = math.inf
     for iteration in range(_MAX_ITERATIONS + 1):
         state = (z, beta, omega, theta)
-        residual, res_norm, ratio, coupling, psi = _hopf_residual(
+        (g1, border), res_norm, ratio, coupling, psi = _hopf_residual(
             state, model, u, laplacian
         )
         if ratio <= 2.0 or 0.5 * previous < ratio <= 100.0:
@@ -443,16 +398,16 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray,
             -1j * psi,
             -1j * np.exp(-1j * theta) * coeffs.p * fprime * psi,
         )
-        matrix = _hopf_matrix(
+        corner = np.diag([2.0 * beta * c0 * c0 * model.grid.length, 0.0, 0.0])
+        dz, (dbeta, domega, dtheta) = _bordered_solve(
             laplacian, model.r * coupling, cols,
-            2.0 * model.r**2 * weights * z,
-            2.0 * beta * c0 * c0 * model.grid.length,
+            (2.0 * model.r**2 * weights * z, weights, 1j * weights), corner,
+            -g1, -border,
         )
-        delta = _bordered_solve(matrix, -residual)
-        z = z + delta[:n] + 1j * delta[n : 2 * n]
-        beta += delta[2 * n]
-        omega += delta[2 * n + 1]
-        theta += delta[2 * n + 2]
+        z = z + dz
+        beta += dbeta
+        omega += domega
+        theta += dtheta
 
 
 def continue_hopf(

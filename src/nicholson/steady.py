@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, zgttrf, zgttrs
 
 from .grid import Grid1D
 from .model import ModelParams, eval_nonlinearity
@@ -49,12 +49,12 @@ class DiscreteLaplacian:
 
     ``main``, ``upper`` and ``lower`` are the three diagonals.  ``apply``
     works for real and complex nodal fields; ``factor`` solves the shifted
-    systems of the steady Newton; ``weighted_factor`` solves the
-    Crank-Nicolson systems of the time stepper, multiplied by the
-    trapezoid weights (over the spacing) to make them symmetric positive
-    definite.  The bordered Poisson and Hopf solves of :mod:`.hopf` copy
-    the three diagonals into their own CSC matrices.  ``toarray``
-    densifies; it serves only ``characteristic_matrix`` and the tests.
+    systems of the steady Newton (real shift) and of the bordered Poisson
+    and Hopf solves of :mod:`.hopf` (complex shift); ``weighted_factor``
+    solves the Crank-Nicolson systems of the time stepper, multiplied by
+    the trapezoid weights (over the spacing) to make them symmetric
+    positive definite.  ``toarray`` densifies; it serves only
+    ``characteristic_matrix`` and the tests.
     """
 
     grid: Grid1D
@@ -78,24 +78,28 @@ class DiscreteLaplacian:
         dense[idx[1:], idx[1:] - 1] = self.lower
         return dense
 
-    def factor(self, shift: np.ndarray | float) -> partial:
+    def factor(self, shift: np.ndarray | complex) -> partial:
         """One ``gttrf`` factor of L + diag(shift), as its solver.
 
-        Returns ``dgttrs`` bound to the factor: ``solve(b)[0]`` is the
-        solution of the real system with right-hand side ``b``.  A partial,
-        not a function, so a solve adds no Python frame.
+        A real ``shift`` makes a ``dgttrf`` factor, a complex one a
+        ``zgttrf`` factor.  Returns ``dgttrs`` or ``zgttrs`` bound to the
+        factor: ``solve(b)[0]`` is the solution for the right-hand side
+        ``b``, one column per system if ``b`` is two-dimensional.  A
+        partial, not a function, so a solve adds no Python frame.
 
         Raises
         ------
         numpy.linalg.LinAlgError
             If elimination meets an exactly zero pivot.
         """
-        *lu, info = dgttrf(self.lower, self.main + shift, self.upper)
+        gttrf, gttrs = ((zgttrf, zgttrs) if np.iscomplexobj(shift)
+                        else (dgttrf, dgttrs))
+        *lu, info = gttrf(self.lower, self.main + shift, self.upper)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"matrix is exactly singular: pivot U[{info - 1}, {info - 1}] "
                 "is zero")
-        return partial(dgttrs, *lu)
+        return partial(gttrs, *lu)
 
     def weighted_factor(self, scale: float) -> partial:
         """One ``pttrf`` factor of W (I + scale L), as its solver.

@@ -20,6 +20,7 @@ the exact conversion C1_package = tau_check * c0^2 * C1_textbook.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 
@@ -69,6 +70,7 @@ def rightmost_root(tau: float, delta_bar: float, c0: float) -> complex:
     return max(roots, key=lambda lam: lam.real)
 
 
+@functools.cache
 def first_crossing_delay(delta_bar: float, c0: float,
                          bracket=(1e-3, 6.0), tol: float = 1e-12) -> float:
     """Bisect on the delay for Re(rightmost root) = 0."""

@@ -894,7 +894,8 @@ class TestConsoleScript:
 
     def test_cli_import_skips_heavy_scipy(self):
         # a fresh interpreter: this one has imported scipy.signal already
-        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate",
+                 "scipy.sparse")
         code = ("import sys, nicholson.cli; "
                 f"print(*[m for m in {heavy!r} if m in sys.modules])")
         result = subprocess.run([sys.executable, "-c", code],

@@ -142,135 +142,57 @@ def reference_hopf_matrix(laplacian, shift, cols, norm_row, corner):
                               corners)
 
 
-def assert_same_csc(got, want):
-    assert got.format == want.format == "csc"
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        ours, theirs = getattr(got, name), getattr(want, name)
-        assert ours.dtype == theirs.dtype, name
-        assert np.array_equal(ours, theirs), name
-
-
-def random_hopf_inputs(n, seed, zeros=False):
-    rng = np.random.default_rng(seed)
-
-    def field():
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    shift, cols, norm_row = field(), (field(), field(), field()), field()
-    if zeros:  # exact zeros that block assembly leaves out
-        shift.imag[::2] = 0.0
-        cols[1].real[:] = -0.0
-        norm_row[1::3] = 0.0
-    return shift, cols, norm_row, 2.5
-
-
-class TestAssembly:
-    """The bordered matrices are filled into a cached CSC pattern; they must
-    store exactly what SciPy block assembly stores, so that SuperLU orders
-    and pivots them alike."""
-
-    @pytest.mark.parametrize("n", [3, 201])
-    def test_poisson_matches_block_assembly(self, n):
-        laplacian = assemble_laplacian(Grid1D(length=3.0, n_points=n))
-        assert_same_csc(hopf_module._poisson_matrix(laplacian),
-                        reference_poisson_matrix(laplacian))
-
-    @pytest.mark.parametrize("zeros", [False, True])
-    @pytest.mark.parametrize("n", [3, 201])
-    def test_hopf_matches_block_assembly(self, n, zeros):
-        laplacian = assemble_laplacian(Grid1D(length=3.0, n_points=n))
-        inputs = random_hopf_inputs(n, seed=n, zeros=zeros)
-        got = hopf_module._hopf_matrix(laplacian, *inputs)
-        left_out = 2 * len(range(0, n, 2)) + n + 2 * len(range(1, n, 3))
-        assert got.nnz == 18 * n - 3 - (left_out if zeros else 0)
-        assert_same_csc(got, reference_hopf_matrix(laplacian, *inputs))
-
-    @pytest.mark.parametrize("n", [3, 201])
-    def test_newton_matrices_match_block_assembly(self, monkeypatch, n):
-        # the matrices of a real continuation, rebuilt from the same blocks
-        model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=1e-2)
-        real_matrix = hopf_module._hopf_matrix
-        built = []
-
-        def recording(*args):
-            built.append((args, real_matrix(*args)))
-            return built[-1][1]
-
-        monkeypatch.setattr(hopf_module, "_hopf_matrix", recording)
-        continue_hopf(model, 2e-2)
-        assert len(built) >= 2
-        for args, matrix in built:
-            assert_same_csc(matrix, reference_hopf_matrix(*args))
-
-    def test_cached_pattern_survives_solves(self, monkeypatch):
-        # two consecutive Newton solves share the pattern; neither may
-        # prune or sort it in place
-        n = 41
-        model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=1e-2)
-        continue_hopf(model, 1e-2)
-        layout = hopf_module._layout("hopf", n)
-        before = [array.copy() for array in layout]
-        real_solve = hopf_module._bordered_solve
-        solved = []
-
-        def recording(matrix, rhs):
-            solved.append((matrix.nnz, matrix.indices.copy()))
-            return real_solve(matrix, rhs)
-
-        monkeypatch.setattr(hopf_module, "_bordered_solve", recording)
-        continue_hopf(model, 2e-2)
-        assert hopf_module._layout("hopf", n) is layout
-        for array, copy in zip(layout, before):
-            assert not array.flags.writeable
-            assert np.array_equal(array, copy)
-        newton = solved[1:]  # less the Poisson solve of the limit
-        assert len(newton) >= 2
-        for nnz, indices in newton:
-            assert nnz == 18 * n - 3
-            assert np.array_equal(indices, layout[1])
-
-    def test_shared_pattern_is_read_only(self):
-        laplacian = assemble_laplacian(Grid1D(length=3.0, n_points=5))
-        matrix = hopf_module._hopf_matrix(laplacian,
-                                          *random_hopf_inputs(5, seed=1))
-        assert np.shares_memory(matrix.indices, hopf_module._layout("hopf", 5)[1])
-        with pytest.raises(ValueError):
-            matrix.eliminate_zeros()
-        with pytest.raises(ValueError):
-            matrix.indices[0] = 1
+def dense_system(laplacian, shift, cols, rows, corner, g, h):
+    """A recorded Poisson or Hopf system as a dense matrix and right-hand
+    side, from the reference builders."""
+    if len(cols) == 2:  # [[L, 1], [w, 0]] [z; lambda] = [g; 0]
+        return reference_poisson_matrix(laplacian).toarray(), np.append(g, 0.0)
+    matrix = reference_hopf_matrix(laplacian, shift, cols, rows[0], corner[0, 0])
+    return matrix.toarray(), np.concatenate([g.real, g.imag, h])
 
 
 class TestBorderedSolve:
     def test_matches_dense_solve(self, monkeypatch):
-        # record the Poisson and the first Hopf-Newton system of a real
-        # continuation, then solve each again densely
+        # record the systems of real continuations, then solve each again
+        # densely: at n = 41 the Poisson, the first and the last Hopf-Newton
+        # system, whose core is singular to roundoff; at n = 3, where the
+        # deflated node k = 1 is the only interior one, every system
         real_solve = hopf_module._bordered_solve
-        systems = []
-
-        def recording(*args):
-            systems.append(args)
-            return real_solve(*args)
-
-        monkeypatch.setattr(hopf_module, "_bordered_solve", recording)
-        grid = Grid1D(length=3.0, n_points=41)
-        continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
-        poisson, newton = systems[0], systems[1]
-        assert poisson[0].shape == (42, 42)
-        assert newton[0].shape == (85, 85)
-        assert np.iscomplexobj(poisson[1]) and not np.iscomplexobj(newton[1])
-        rng = np.random.default_rng(3)
-        complex_rhs = newton[1] + 1j * rng.standard_normal(newton[1].size)
-        for matrix, rhs in (poisson, newton, (newton[0], complex_rhs)):
-            expected = np.linalg.solve(matrix.toarray(), rhs)
-            got = real_solve(matrix, rhs)
+        recorded = {}
+        for n in (41, 3):
+            systems = recorded[n] = []
+            monkeypatch.setattr(
+                hopf_module, "_bordered_solve",
+                lambda *args, into=systems: into.append(args) or real_solve(*args))
+            grid = Grid1D(length=3.0, n_points=n)
+            continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+        poisson, *newton = recorded[41]
+        assert len(newton) >= 2
+        for args in (poisson, newton[0], newton[-1], *recorded[3]):
+            matrix, rhs = dense_system(*args)
+            expected = np.linalg.solve(matrix, rhs)
+            z, p = real_solve(*args)
+            if len(p) == 2:
+                got = np.append(z, p[0] + 1j * p[1])
+            else:
+                got = np.concatenate([z.real, z.imag, p])
             error = np.linalg.norm(got - expected)
             assert error <= 1e-12 * np.linalg.norm(expected)
 
     def test_singular_matrix_is_newton_failure(self):
-        matrix = csc_matrix(([1.0], [2], [0, 0, 0, 1]), shape=(3, 3))
-        with pytest.raises(hopf_module._HopfNewtonFailure, match="singular"):
-            hopf_module._bordered_solve(matrix, np.ones(3))
+        # a shift that cancels the deflation leaves the Neumann L, whose
+        # last pivot is exactly zero; zero border columns leave the reduced
+        # system singular
+        laplacian = assemble_laplacian(Grid1D(length=3.0, n_points=3))
+        ones, weights = np.ones(3), laplacian.grid.weights
+        cancel = np.zeros(3, dtype=complex)
+        cancel[1] = -laplacian.main[1]
+        for shift, cols in ((cancel, (ones, 1j * ones)),
+                            (0j, (0 * ones, 0 * ones))):
+            with pytest.raises(hopf_module._HopfNewtonFailure, match="singular"):
+                hopf_module._bordered_solve(
+                    laplacian, shift, cols, (weights, 1j * weights), 0.0,
+                    ones + 0j, np.zeros(2))
 
 
 class TestContinuation:

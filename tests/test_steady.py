@@ -10,6 +10,7 @@ from scipy.sparse.linalg import spsolve
 
 import nicholson.steady as steady_module
 from nicholson.grid import Grid1D
+from nicholson.hopf import continue_hopf
 from nicholson.model import (
     CoefficientSpec, ModelParams, build_coefficients, eval_nonlinearity,
 )
@@ -58,19 +59,38 @@ class TestFactor:
     @staticmethod
     def assert_matches_dense(solve, dense):
         n = len(dense)
-        b = np.random.default_rng(n).standard_normal(n)
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(n)
+        if np.iscomplexobj(dense):
+            b = b + 1j * rng.standard_normal(n)
         expected = np.linalg.solve(dense, b)
         x = solve(b.copy())[0]
         assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("n", [3, 201])
-    def test_steady_form(self, n):
-        # the Newton matrix L + r (p f'(u) - delta) at the fig. 2 solution
-        model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=1.0)
-        u = solve_steady_state(model).u
-        shift = model.r * (model.coeffs.p * eval_nonlinearity(u, order=1)
-                           - model.coeffs.delta)
-        lap = assemble_laplacian(model.grid)
+    @pytest.mark.parametrize("n, hopf", [
+        pytest.param(3, False, id="3"), pytest.param(201, False, id="201"),
+        pytest.param(3, True, id="hopf-3"), pytest.param(201, True, id="hopf-201"),
+    ])
+    def test_steady_form(self, n, hopf):
+        # the Newton matrix L + r (p f'(u) - delta) at the fig. 2 solution;
+        # or the complex matrix the bordered Hopf solve factors at the
+        # fig. 2 crossing, L + r coupling + L[1, 1] e_1 e_1^T, where
+        # L + r coupling alone is singular
+        grid = Grid1D(length=3.0, n_points=n)
+        lap = assemble_laplacian(grid)
+        if hopf:
+            sol = continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+            coeffs = sol.model.coeffs
+            coupling = (np.exp(-1j * sol.theta) * coeffs.p
+                        * eval_nonlinearity(sol.u, order=1)
+                        - coeffs.delta - 1j * sol.omega)
+            shift = sol.r * coupling
+            shift[1] += lap.main[1]
+        else:
+            model = figure_model("fig2", grid, r=1.0)
+            u = solve_steady_state(model).u
+            shift = model.r * (model.coeffs.p * eval_nonlinearity(u, order=1)
+                               - model.coeffs.delta)
         self.assert_matches_dense(lap.factor(shift),
                                   lap.toarray() + np.diag(shift))
 
