@@ -38,7 +38,6 @@ from .hopf import (
     SimplicityWarning,
     SolvabilityError,
     ThresholdSequence,
-    characteristic_matrix,
     continue_hopf,
     hopf_thresholds,
     limit_hopf_data,
@@ -105,7 +104,6 @@ __all__ = [
     "SimplicityWarning",
     "SolvabilityError",
     "ThresholdSequence",
-    "characteristic_matrix",
     "continue_hopf",
     "hopf_thresholds",
     "limit_hopf_data",

@@ -230,26 +230,6 @@ def limit_hopf_data(coeffs: CoefficientField, grid: Grid1D) -> LimitHopfData:
     return LimitHopfData(theta=theta, omega=omega, beta=1.0, z=z)
 
 
-def _delay_shift(model: ModelParams, u: np.ndarray, mu: complex, tau: float):
-    """Diagonal r e^{-mu tau} p f'(u) - r delta - mu of the eigenvalue operator."""
-    coeffs = model.coeffs
-    return (model.r * np.exp(-mu * tau) * coeffs.p * eval_nonlinearity(u, order=1)
-            - model.r * coeffs.delta - mu)
-
-
-def characteristic_matrix(
-    model: ModelParams, u: np.ndarray, mu: complex, tau: float
-) -> np.ndarray:
-    """Dense matrix of the delayed eigenvalue operator at (mu, tau).
-
-    Rows discretize  Laplace(psi) + r e^{-mu tau} p f'(u) psi
-    - r delta psi - mu psi.
-    """
-    dense = assemble_laplacian(model.grid).toarray().astype(complex)
-    dense[np.diag_indices_from(dense)] += _delay_shift(model, u, mu, tau)
-    return dense
-
-
 class _HopfNewtonFailure(RuntimeError):
     pass
 

@@ -25,17 +25,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+from scipy.linalg.lapack import zgtcon
 
 from .hopf import (
     TWO_PI,
     HopfSolution,
-    characteristic_matrix,
     limit_phase,
     nondegeneracy_integral,
     transversality,
 )
-from .model import eval_nonlinearity
+from .model import ModelParams, eval_nonlinearity
+from .steady import assemble_laplacian
 from .table import write_table
 
 
@@ -85,24 +85,41 @@ def _tau_n(sol: HopfSolution, n: int) -> float:
     return (sol.theta + TWO_PI * n) / sol.nu
 
 
+def _delay_shift(model: ModelParams, u: np.ndarray, mu: complex, tau: float):
+    """Diagonal r e^{-mu tau} p f'(u) - r delta - mu of the eigenvalue operator."""
+    coeffs = model.coeffs
+    return (model.r * np.exp(-mu * tau) * coeffs.p * eval_nonlinearity(u, order=1)
+            - model.r * coeffs.delta - mu)
+
+
 def _solve_shifted(sol: HopfSolution, mu: complex, tau: float, rhs: np.ndarray,
                    label: str) -> np.ndarray:
     """Solve the shifted eigenvalue system with a conditioning guard.
 
-    One LU factor (``zgetrf``) serves the guard, LAPACK's 1-norm estimate
-    ``1/rcond`` (``zgecon``; refused above 1e12 or at a zero pivot), the solve
-    and one refinement pass, which holds the residual near roundoff.
+    The operator L + diag(r e^{-mu tau} p f'(u) - r delta - mu) is
+    tridiagonal.  One ``zgttrf`` factor serves the guard, LAPACK's 1-norm
+    estimate ``1/rcond`` (``zgtcon``; refused above 1e12 or at a zero pivot),
+    and the ``zgttrs`` solve, which needs no refinement pass.  The cost is
+    linear in the number of nodes.
     """
-    matrix = characteristic_matrix(sol.model, sol.u, mu, tau)
-    lu, piv, info = zgetrf(matrix)
-    rcond = zgecon(lu, np.linalg.norm(matrix, 1))[0] if info == 0 else 0.0
+    laplacian = assemble_laplacian(sol.model.grid)
+    shift = _delay_shift(sol.model, sol.u, mu, tau)
+    try:
+        solve = laplacian.factor(shift)
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    else:
+        # the 1-norm is the largest column sum of |lower|, |main + shift|, |upper|
+        column = np.abs(laplacian.main + shift)
+        column[1:] += np.abs(laplacian.upper)
+        column[:-1] += np.abs(laplacian.lower)
+        rcond = zgtcon(*solve.args, column.max())[0]
     if not rcond >= 1e-12:
         raise ResonanceError(
             f"{label}: shifted solve at mu = {mu:.6g} is near-singular "
             f"(condition estimate {1.0 / rcond if rcond > 0 else math.inf:.3e})"
         )
-    solution = zgetrs(lu, piv, rhs)[0]
-    return solution + zgetrs(lu, piv, rhs - matrix @ solution)[0]
+    return solve(rhs)[0]
 
 
 def second_harmonic_correction(sol: HopfSolution, n: int = 0) -> np.ndarray:

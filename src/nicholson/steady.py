@@ -49,12 +49,12 @@ class DiscreteLaplacian:
 
     ``main``, ``upper`` and ``lower`` are the three diagonals.  ``apply``
     works for real and complex nodal fields; ``factor`` solves the shifted
-    systems of the steady Newton (real shift) and of the bordered Poisson
-    and Hopf solves of :mod:`.hopf` (complex shift); ``weighted_factor``
-    solves the Crank-Nicolson systems of the time stepper, multiplied by
-    the trapezoid weights (over the spacing) to make them symmetric
-    positive definite.  ``toarray`` densifies; it serves only
-    ``characteristic_matrix`` and the tests.
+    systems of the steady Newton (real shift), of the bordered Poisson
+    and Hopf solves of :mod:`.hopf` and of the normal-form corrections of
+    :mod:`.normalform` (complex shift); ``weighted_factor`` solves the
+    Crank-Nicolson systems of the time stepper, multiplied by the
+    trapezoid weights (over the spacing) to make them symmetric positive
+    definite.
     """
 
     grid: Grid1D
@@ -69,15 +69,6 @@ class DiscreteLaplacian:
         out[1:] += self.lower * v[:-1]
         return out
 
-    def toarray(self) -> np.ndarray:
-        n = self.grid.n_points
-        dense = np.zeros((n, n))
-        idx = np.arange(n)
-        dense[idx, idx] = self.main
-        dense[idx[:-1], idx[:-1] + 1] = self.upper
-        dense[idx[1:], idx[1:] - 1] = self.lower
-        return dense
-
     def factor(self, shift: np.ndarray | complex) -> partial:
         """One ``gttrf`` factor of L + diag(shift), as its solver.
 
@@ -85,7 +76,9 @@ class DiscreteLaplacian:
         ``zgttrf`` factor.  Returns ``dgttrs`` or ``zgttrs`` bound to the
         factor: ``solve(b)[0]`` is the solution for the right-hand side
         ``b``, one column per system if ``b`` is two-dimensional.  A
-        partial, not a function, so a solve adds no Python frame.
+        partial, not a function, so a solve adds no Python frame; its
+        ``args``, ``(dl, d, du, du2, ipiv)``, are also the factor that
+        ``?gtcon`` reads to estimate the condition number.
 
         Raises
         ------

@@ -4,17 +4,26 @@ The two coefficient families used throughout are the built-in sets
 (length 3, a = 2.5, delta = 2 + cos(0.2 x), p = 10 + sin x or 30 + sin x).
 Continuations are session-scoped because several test modules and the
 acceptance suite compare against the same branches.  ``sparse_laplacian``
-gives the reference solvers the shifted Laplacian as a SciPy matrix.
+gives the reference solvers the shifted Laplacian as a SciPy matrix;
+``dense_laplacian`` and ``characteristic_matrix`` give the dense oracles
+the Laplacian and the delayed eigenvalue operator as NumPy arrays.
 """
 
 import math
 
+import numpy as np
 import pytest
 from scipy.sparse import csc_matrix, diags
 
 from nicholson.grid import Grid1D
 from nicholson.hopf import continue_hopf
-from nicholson.model import CoefficientSpec, ModelParams, build_coefficients
+from nicholson.model import (
+    CoefficientSpec,
+    ModelParams,
+    build_coefficients,
+    eval_nonlinearity,
+)
+from nicholson.steady import assemble_laplacian
 
 FIG1_P = "10 + 1*sin(1*x + 0)"
 FIG2_P = "30 + 1*sin(1*x + 0)"
@@ -35,6 +44,25 @@ def sparse_laplacian(laplacian, shift=0.0) -> csc_matrix:
     """L + diag(shift) as a sparse CSC matrix, exact zeros left out."""
     return diags([laplacian.lower, laplacian.main + shift, laplacian.upper],
                  offsets=[-1, 0, 1], format="csc")
+
+
+def dense_laplacian(laplacian) -> np.ndarray:
+    """The tridiagonal Laplacian as a dense array."""
+    return (np.diag(laplacian.main) + np.diag(laplacian.upper, 1)
+            + np.diag(laplacian.lower, -1))
+
+
+def characteristic_matrix(model: ModelParams, u, mu: complex,
+                          tau: float) -> np.ndarray:
+    """Dense matrix of the delayed eigenvalue operator at (mu, tau).
+
+    Rows discretize  Laplace(psi) + r e^{-mu tau} p f'(u) psi
+    - r delta psi - mu psi.
+    """
+    coeffs = model.coeffs
+    shift = (model.r * np.exp(-mu * tau) * coeffs.p * eval_nonlinearity(u, order=1)
+             - model.r * coeffs.delta - mu)
+    return dense_laplacian(assemble_laplacian(model.grid)) + np.diag(shift)
 
 
 def constant_model(c0: float, grid: Grid1D, r: float,

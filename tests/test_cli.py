@@ -26,10 +26,10 @@ from nicholson.config import (
 from nicholson.hopf import (
     ContinuationStallError,
     NoHopfError,
-    characteristic_matrix,
     continue_hopf,
 )
 from nicholson.normalform import normal_form_report, write_normalform_csv
+from nicholson.steady import DiscreteLaplacian, assemble_laplacian
 
 FIG2_CONFIG = """\
 [model]
@@ -311,10 +311,19 @@ class TestTaskRuns:
         )
         assert (out / "normalform.csv").exists()
 
+    def test_normalform_task_on_fine_grid(self, tmp_path, fig2_config):
+        # the shifted solves are tridiagonal, so n = 4801 is cheap; the
+        # dense path needed about 1 GB here
+        out = tmp_path / "nf-fine-out"
+        code = main(["normalform", "--config", str(fig2_config),
+                     "--set", "model.n_points=4801", "--out", str(out)])
+        assert code == 0
+        assert read_summary(out)["n0_orbit_stability"] == "stable"
+
     def test_normalform_factors_once_per_crossing(self, tmp_path, fig2_config,
                                                   monkeypatch):
         # the two correction fields do not depend on n: a run over three
-        # thresholds builds each shifted matrix once and writes the same
+        # thresholds factors each shifted matrix once and writes the same
         # table as three independent reports
         config = load_config(fig2_config)
         sol = continue_hopf(config.model, config.model.r)
@@ -323,11 +332,15 @@ class TestTaskRuns:
                              [normal_form_report(sol, n) for n in range(3)])
         built = []
 
-        def counted(*args, **kwargs):
-            built.append(args[2])
-            return characteristic_matrix(*args, **kwargs)
+        class CountedLaplacian(DiscreteLaplacian):
+            def factor(self, shift):
+                built.append(shift)
+                return super().factor(shift)
 
-        monkeypatch.setattr(normalform, "characteristic_matrix", counted)
+        def counted(grid):
+            return CountedLaplacian(**vars(assemble_laplacian(grid)))
+
+        monkeypatch.setattr(normalform, "assemble_laplacian", counted)
         out = tmp_path / "nf-out"
         code = main(["normalform", "--config", str(fig2_config),
                      "--set", "task.n_max=2", "--out", str(out)])
@@ -903,3 +916,13 @@ class TestConsoleScript:
                                 env=_checkout_env())
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == []
+
+    def test_src_builds_no_dense_matrix(self):
+        # every linear system in the package is tridiagonal or bordered
+        # tridiagonal; the dense builders and LU routines live in the tests
+        src = Path(__file__).resolve().parents[1] / "src" / "nicholson"
+        dense = ("toarray", "zgetrf", "zgecon", "zgetrs",
+                 "characteristic_matrix")
+        found = [f"{path.name}: {name}" for path in sorted(src.glob("*.py"))
+                 for name in dense if name in path.read_text(encoding="utf-8")]
+        assert found == []

@@ -13,7 +13,6 @@ from nicholson.grid import Grid1D
 from nicholson.hopf import (
     NoHopfError,
     SolvabilityError,
-    characteristic_matrix,
     continue_hopf,
     hopf_thresholds,
     limit_hopf_data,
@@ -28,7 +27,12 @@ from nicholson.hopf import (
 from nicholson.model import CoefficientSpec, build_coefficients
 from nicholson.steady import assemble_laplacian, solve_steady_state
 
-from conftest import constant_model, figure_model, sparse_laplacian
+from conftest import (
+    characteristic_matrix,
+    constant_model,
+    figure_model,
+    sparse_laplacian,
+)
 
 import oracles
 

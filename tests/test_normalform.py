@@ -1,22 +1,18 @@
 """Normal form: limit agreement, scalar-oracle equivalence, certificates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import zgecon
+from scipy.linalg.lapack import zgtcon
 from scipy.optimize import brentq
 
-from nicholson import normalform
+from nicholson import normalform, steady
 from nicholson.grid import Grid1D
-from nicholson.hopf import (
-    HopfSolution,
-    characteristic_matrix,
-    continue_hopf,
-    limit_phase,
-)
+from nicholson.hopf import HopfSolution, continue_hopf, limit_phase
 from nicholson.model import (
     CoefficientSpec,
     ModelParams,
@@ -39,7 +35,12 @@ from nicholson.normalform import (
     zero_mode_correction,
 )
 
-from conftest import FIG_LENGTH, constant_model, figure_model
+from conftest import (
+    FIG_LENGTH,
+    characteristic_matrix,
+    constant_model,
+    figure_model,
+)
 
 import oracles
 
@@ -219,6 +220,19 @@ class TestHeterogeneousSmallR:
             report.tau_n * fig2_branch[1e-2].r, rel=1e-14
         )
 
+    def test_mesh_convergence_is_second_order(self):
+        # successive differences of Re C1(0) and Re d(mu)/d(tau) over
+        # doubling grids shrink 4x, the order of the discretization
+        values = []
+        for n in (151, 301, 601, 1201):
+            grid = Grid1D(length=FIG_LENGTH, n_points=n)
+            report = normal_form_report(
+                continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2), 0)
+            values.append((report.c1.real, report.dmu.real))
+        diffs = np.diff(np.array(values), axis=0)
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((3.8 <= ratios) & (ratios <= 4.2)), ratios
+
 
 class TestVerdicts:
     def test_forward_stable(self):
@@ -295,19 +309,29 @@ class TestResonanceGuard:
 
     def test_singular_factor_raises_before_estimate(self, fig2_branch,
                                                      monkeypatch):
-        # an all-zero column leaves an exactly zero pivot: the guard must
+        # an all-zero column 7 of the shifted tridiagonal (main[7] + shift[7],
+        # upper[6] and lower[7]) leaves an exactly zero pivot: the guard must
         # refuse it before the condition estimate or the solve sees the factor
-        def zero_column(model, u, mu, tau):
-            matrix = characteristic_matrix(model, u, mu, tau)
-            matrix[:, 7] = 0.0
-            return matrix
+        def zero_column_laplacian(grid):
+            lap = steady.assemble_laplacian(grid)
+            main, upper, lower = lap.main.copy(), lap.upper.copy(), lap.lower.copy()
+            main[7] = upper[6] = lower[7] = 0.0
+            return replace(lap, main=main, upper=upper, lower=lower)
+
+        delay_shift = normalform._delay_shift
+
+        def zero_column_shift(*args):
+            shift = delay_shift(*args)
+            shift[7] = 0.0
+            return shift
 
         def unreachable(*args):
             raise AssertionError("singular factor passed on")
 
-        monkeypatch.setattr(normalform, "characteristic_matrix", zero_column)
-        monkeypatch.setattr(normalform, "zgecon", unreachable)
-        monkeypatch.setattr(normalform, "zgetrs", unreachable)
+        monkeypatch.setattr(normalform, "assemble_laplacian", zero_column_laplacian)
+        monkeypatch.setattr(normalform, "_delay_shift", zero_column_shift)
+        monkeypatch.setattr(normalform, "zgtcon", unreachable)
+        monkeypatch.setattr(steady, "zgttrs", unreachable)
         sol = fig2_branch[1e-2]
         for correction in (second_harmonic_correction, zero_mode_correction):
             with pytest.raises(ResonanceError,
@@ -315,22 +339,44 @@ class TestResonanceGuard:
                 correction(sol, 0)
 
 
+def _crossing_systems(n_points):
+    """The two shifted systems of the corrections on fig. 2 at r = 1e-2.
+
+    Yields ``(sol, mu, tau_0, rhs, dense)``: mu = 2 i nu with the
+    second-harmonic right-hand side, then mu = 0 with the zero-mode one.
+    """
+    model = figure_model("fig2", Grid1D(length=FIG_LENGTH, n_points=n_points),
+                         r=1e-2)
+    sol = continue_hopf(model, 1e-2)
+    tau_0 = sol.theta / sol.nu
+    pf2 = sol.model.coeffs.p * eval_nonlinearity(sol.u, order=2)
+    for mu, rhs in ((2j * sol.nu, pf2 * sol.psi**2),
+                    (0j, pf2 * np.abs(sol.psi) ** 2)):
+        yield sol, mu, tau_0, rhs, characteristic_matrix(sol.model, sol.u, mu, tau_0)
+
+
+@pytest.fixture
+def estimates(monkeypatch):
+    """The condition estimates 1/rcond that ``zgtcon`` hands the guard."""
+    seen = []
+
+    def spy(*args):
+        rcond, info = zgtcon(*args)
+        seen.append(1.0 / rcond)
+        return rcond, info
+
+    monkeypatch.setattr(normalform, "zgtcon", spy)
+    return seen
+
+
 class TestShiftedSolve:
     @pytest.mark.parametrize("n_points", [201, 601])
-    def test_estimate_tracks_two_norm_condition(self, n_points, monkeypatch):
+    def test_estimate_tracks_two_norm_condition(self, n_points, estimates):
         # the 1e12 guard was set against the 2-norm condition number; the
         # LAPACK 1-norm estimate must stay within a small factor of it
         model = figure_model("fig2", Grid1D(length=FIG_LENGTH,
                                             n_points=n_points), r=1e-2)
         sol = continue_hopf(model, 1e-2)
-        estimates = []
-
-        def spy(lu, anorm):
-            rcond, info = zgecon(lu, anorm)
-            estimates.append(1.0 / rcond)
-            return rcond, info
-
-        monkeypatch.setattr(normalform, "zgecon", spy)
         second_harmonic_correction(sol, 0)
         zero_mode_correction(sol, 0)
         tau_0 = sol.theta / sol.nu
@@ -339,6 +385,33 @@ class TestShiftedSolve:
             condition = np.linalg.cond(
                 characteristic_matrix(sol.model, sol.u, mu, tau_0))
             assert condition / 4 <= estimate <= 4 * condition
+
+    @pytest.mark.parametrize("n_points", [3, 201])
+    def test_estimate_is_the_one_norm_condition(self, n_points, estimates):
+        # zgtcon is handed the 1-norm of the matrix it factored, and its
+        # estimate of the inverse's 1-norm is a lower bound that is exact
+        # here; the infinity norm, the 1-norm of the transpose, reads 0.67
+        # of it at n = 3 and 0.8 at n = 201
+        for sol, mu, tau_0, rhs, dense in _crossing_systems(n_points):
+            normalform._solve_shifted(sol, mu, tau_0, rhs, "test")
+            condition = np.linalg.cond(dense, 1)
+            assert 0.9 * condition <= estimates[-1] <= (1 + 1e-6) * condition
+
+    @pytest.mark.parametrize("n_points", [3, 201, 1201])
+    def test_matches_dense_solve(self, n_points):
+        # one tridiagonal solve, no refinement: its backward error is at
+        # roundoff, and it agrees with a dense LU solve to within what
+        # either can reach, eps times the condition number (np.linalg.solve
+        # itself is 2-4e-12 from an extended-precision solve at n = 1201)
+        eps = np.finfo(float).eps
+        for sol, mu, tau_0, rhs, dense in _crossing_systems(n_points):
+            x = normalform._solve_shifted(sol, mu, tau_0, rhs, "test")
+            expected = np.linalg.solve(dense, rhs)
+            error = np.abs(x - expected).max() / np.abs(expected).max()
+            assert error <= eps * np.linalg.cond(dense, 1)
+            backward = np.abs(dense @ x - rhs).max() / (
+                np.linalg.norm(dense, np.inf) * np.abs(x).max())
+            assert backward <= 4 * eps
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_corrections_do_not_depend_on_threshold(self, fig2_branch, n):

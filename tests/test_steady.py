@@ -22,18 +22,18 @@ from nicholson.steady import (
     write_steady_csv,
 )
 
-from conftest import constant_model, figure_model, sparse_laplacian
+from conftest import constant_model, dense_laplacian, figure_model, sparse_laplacian
 
 class TestLaplacian:
     def test_row_sums_vanish_exactly(self):
         lap = assemble_laplacian(Grid1D(length=3.0, n_points=47))
-        row_sums = lap.toarray().sum(axis=1)
+        row_sums = dense_laplacian(lap).sum(axis=1)
         assert np.all(row_sums == 0.0)
 
     def test_weighted_symmetry_exact(self):
         grid = Grid1D(length=2.0, n_points=31)
         lap = assemble_laplacian(grid)
-        weighted = np.diag(grid.weights) @ lap.toarray()
+        weighted = np.diag(grid.weights) @ dense_laplacian(lap)
         assert np.array_equal(weighted, weighted.T)
 
     def test_neumann_eigenfunction(self):
@@ -49,7 +49,7 @@ class TestLaplacian:
         lap = assemble_laplacian(grid)
         rng = np.random.default_rng(7)
         v = rng.standard_normal(21)
-        assert np.allclose(lap.apply(v), lap.toarray() @ v, atol=1e-12)
+        assert np.allclose(lap.apply(v), dense_laplacian(lap) @ v, atol=1e-12)
 
 
 class TestFactor:
@@ -92,7 +92,7 @@ class TestFactor:
             shift = model.r * (model.coeffs.p * eval_nonlinearity(u, order=1)
                                - model.coeffs.delta)
         self.assert_matches_dense(lap.factor(shift),
-                                  lap.toarray() + np.diag(shift))
+                                  dense_laplacian(lap) + np.diag(shift))
 
     @pytest.mark.parametrize("n", [3, 201])
     @pytest.mark.parametrize("d", [0.1, 100.0])
@@ -104,7 +104,7 @@ class TestFactor:
         h = 0.5 * 5e-3 * d
         weights = np.diag(grid.weights / grid.spacing)
         self.assert_matches_dense(lap.weighted_factor(-h),
-                                  weights - h * weights @ lap.toarray())
+                                  weights - h * weights @ dense_laplacian(lap))
 
     @pytest.mark.parametrize("d", [0.1, 100.0])
     def test_stepper_keeps_mass(self, d):
@@ -129,7 +129,7 @@ class TestFactor:
         w = grid.weights / grid.spacing
         assert w[0] == w[-1] == 0.5 and np.all(w[1:-1] == 1.0)
         assert np.array_equal(w[:-1] * lap.upper, w[1:] * lap.lower)
-        weighted = w[:, None] * lap.toarray()
+        weighted = w[:, None] * dense_laplacian(lap)
         assert np.array_equal(weighted, weighted.T)
         assert np.linalg.eigvalsh(weighted).max() <= 1e-12 * abs(weighted).max()
 
