@@ -25,8 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgtcon
 
+from ._lapack import zgtcon
 from .hopf import (
     TWO_PI,
     HopfSolution,

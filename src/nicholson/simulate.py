@@ -134,12 +134,16 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
     neg_a = np.array(-a)  # a ufunc takes a 0-d array faster than a float
 
     def births(v, out=None, scratch=None):
-        # the same arithmetic either way; arrays out and scratch of v's
-        # shape take the births and the exponential without allocating
-        if out is None:
-            return gain * v * np.exp(-a * v)
-        np.exp(np.multiply(v, neg_a, scratch), scratch)
-        return np.multiply(np.multiply(gain, v, out), scratch, out)
+        # the same arithmetic every way; arrays out and scratch of v's
+        # shape take the births and the exponential without allocating,
+        # and a float v gets a float back, whose arithmetic is faster than
+        # np.float64's
+        if out is not None:
+            np.exp(np.multiply(v, neg_a, scratch), scratch)
+            return np.multiply(np.multiply(gain, v, out), scratch, out)
+        if isinstance(v, float):
+            return gain * v * float(np.exp(-a * v))
+        return gain * v * np.exp(-a * v)
 
     stride = snapshot_stride or 0
     if stride < 0:
@@ -309,6 +313,7 @@ def simulate_average_dde(
     keep = 1.0 - dt * delta_bar
 
     def advance(value, births, out):
+        value = float(value)  # not np.float64, whose arithmetic is slower
         if n_delay:
             for row, birth in enumerate(births.tolist()):
                 value = out[row] = keep * value + birth

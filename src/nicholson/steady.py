@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, zgttrf, zgttrs
 
+from ._lapack import dgttrf, dgttrs, dpttrf, dpttrs, zgttrf, zgttrs
 from .grid import Grid1D
 from .model import ModelParams, eval_nonlinearity
 from .table import write_table

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, tasks, exit codes, manifests."""
 
+import importlib.machinery
 import inspect
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nicholson import cli, normalform
+from nicholson import _lapack, cli, normalform
 from nicholson.cli import main
 from nicholson.config import (
     OPTIONS,
@@ -906,9 +907,11 @@ class TestConsoleScript:
         assert (out / "steady.csv").exists()
 
     def test_cli_import_skips_heavy_scipy(self):
-        # a fresh interpreter: this one has imported scipy.signal already
+        # a fresh interpreter: this one has imported scipy.signal already.
+        # scipy.linalg's package init imports the numpy submodules below
         heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate",
-                 "scipy.sparse")
+                 "scipy.sparse", "scipy.linalg", "numpy.f2py",
+                 "numpy.testing", "numpy.ma", "numpy.random")
         code = ("import sys, nicholson.cli; "
                 f"print(*[m for m in {heavy!r} if m in sys.modules])")
         result = subprocess.run([sys.executable, "-c", code],
@@ -916,6 +919,52 @@ class TestConsoleScript:
                                 env=_checkout_env())
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == []
+
+    @pytest.mark.parametrize("first, then", [
+        ("nicholson.cli", "scipy.linalg.lapack"),
+        ("scipy.linalg", "nicholson.cli"),
+    ])
+    def test_lapack_routines_are_scipys(self, first, then):
+        # in either import order nicholson._lapack and scipy.linalg.lapack
+        # hand out the same objects, and scipy.linalg works after the
+        # package bound them
+        code = f"""
+import {first}
+import {then}
+import numpy as np
+import scipy.linalg
+import scipy.linalg.lapack
+import nicholson._lapack as bound
+names = bound.__all__
+assert len(names) == 7, names
+same = [getattr(bound, n) is getattr(scipy.linalg.lapack, n) for n in names]
+assert all(same), dict(zip(names, same))
+a = np.diag(np.arange(1.0, 6.0)) + np.triu(np.ones((5, 5)), 1)
+x = scipy.linalg.solve(a, np.ones(5))
+assert np.allclose(a @ x, 1.0)
+gttrf, = scipy.linalg.get_lapack_funcs(("gttrf",))
+assert gttrf is bound.dgttrf
+print("ok")
+"""
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True,
+                                env=_checkout_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["ok"]
+
+    def test_missing_flapack_is_import_error(self, monkeypatch):
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_flapack(name, *args, **kwargs):
+            if name == "scipy.linalg._flapack":
+                return None
+            return find_spec(name, *args, **kwargs)
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            no_flapack)
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+            _lapack._load_flapack()
 
     def test_src_builds_no_dense_matrix(self):
         # every linear system in the package is tridiagonal or bordered
@@ -926,3 +975,10 @@ class TestConsoleScript:
         found = [f"{path.name}: {name}" for path in sorted(src.glob("*.py"))
                  for name in dense if name in path.read_text(encoding="utf-8")]
         assert found == []
+
+    def test_only_the_lapack_module_names_scipy(self):
+        # the LAPACK binding lives in one module; see nicholson/_lapack.py
+        src = Path(__file__).resolve().parents[1] / "src" / "nicholson"
+        found = [path.name for path in sorted(src.glob("*.py"))
+                 if "scipy" in path.read_text(encoding="utf-8")]
+        assert found == ["_lapack.py"]

@@ -503,6 +503,43 @@ class TestAverageDde:
                 simulate_average_dde(math.exp(3.0), 1.0, 2.5, tau_check,
                                      t_end=10.0)
 
+    @staticmethod
+    def float64_zero_delay(p_bar, delta_bar, a, history, dt, n_steps):
+        """The zero-delay step with an np.float64 running value, one step at
+        a time; the blow-up test of ``_march`` after each step."""
+        keep, gain = 1.0 - dt * delta_bar, dt * p_bar
+        value = np.float64(history)
+        values = [value]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, n_steps + 1):
+                value = keep * value + gain * value * np.exp(-a * value)
+                if not abs(value) <= 1e8:
+                    raise BlowUpError("loop blow-up", time=step * dt)
+                values.append(value)
+        return np.array(values)
+
+    def test_zero_delay_matches_float64_steps_bitwise(self):
+        # the running value is a float, np.exp still gives every exponential
+        trace = simulate_average_dde(math.exp(3.0), 1.0, 2.5, 0.0,
+                                     history=0.05, t_end=20.0, dt=1e-3)
+        expected = self.float64_zero_delay(math.exp(3.0), 1.0, 2.5, 0.05,
+                                           1e-3, 20000)
+        assert trace.mean_series.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dt, history, step", [
+        (2.05, 1.0, 4),  # the exponential overflows: the value turns -inf
+        (2.5, 1.2, 23),  # the value grows past 1e8
+    ])
+    def test_zero_delay_blowup_matches_float64_steps(self, dt, history, step):
+        # dt * delta_bar > 2: the explicit reaction is unstable
+        with pytest.raises(BlowUpError) as expected:
+            self.float64_zero_delay(math.exp(3.0), 1.0, 2.5, history, dt, 400)
+        with pytest.raises(BlowUpError) as info:
+            simulate_average_dde(math.exp(3.0), 1.0, 2.5, 0.0, history=history,
+                                 t_end=400 * dt, dt=dt)
+        assert round(expected.value.time / dt) == step
+        assert info.value.time == expected.value.time
+
     def test_overflow_is_blowup(self):
         # a huge step overflows math.exp before the value passes 1e8
         with pytest.raises(BlowUpError) as info:
