@@ -13,7 +13,7 @@ cross-validates all of it against time-domain simulation of the PDE and
 of its spatially averaged scalar delay equation.
 """
 
-from .grid import Grid1D, spatial_average
+from .grid import DiscreteLaplacian, Grid1D, spatial_average
 from .model import (
     CoefficientField,
     CoefficientSpec,
@@ -22,10 +22,8 @@ from .model import (
     eval_nonlinearity,
 )
 from .steady import (
-    DiscreteLaplacian,
     NewtonConvergenceError,
     SteadyState,
-    assemble_laplacian,
     solve_steady_state,
     steady_residual,
     write_steady_csv,
@@ -83,6 +81,7 @@ from .config import ConfigError, RunConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
+    "DiscreteLaplacian",
     "Grid1D",
     "spatial_average",
     "CoefficientField",
@@ -90,10 +89,8 @@ __all__ = [
     "ModelParams",
     "build_coefficients",
     "eval_nonlinearity",
-    "DiscreteLaplacian",
     "NewtonConvergenceError",
     "SteadyState",
-    "assemble_laplacian",
     "solve_steady_state",
     "steady_residual",
     "write_steady_csv",

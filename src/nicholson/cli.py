@@ -29,7 +29,6 @@ from .config import (
     load_config,
     parse_overrides,
 )
-from .grid import Grid1D
 from .hopf import (
     ContinuationStallError,
     NoHopfError,
@@ -43,7 +42,7 @@ from .hopf import (
     transversality,
     write_hopf_csv,
 )
-from .model import CoefficientSpec, ModelParams, build_coefficients
+from .model import ModelParams
 from .normalform import (
     ResonanceError,
     limit_lyapunov_real,
@@ -345,15 +344,13 @@ _FIGURES = {
 
 
 def _reproduce_model(figure: str, tau_hat: float, n_points: int) -> ModelParams:
-    recipe = _FIGURES[figure]
-    grid = Grid1D(length=3.0, n_points=n_points)
-    coeffs = build_coefficients(
-        CoefficientSpec.parse(recipe["p"]),
-        CoefficientSpec.parse("2 + 1*cos(0.2*x + 0)"),
-        grid,
-    )
-    r = 10.0  # both built-in parameter sets use d = 0.1
-    return ModelParams(r=r, a=2.5, tau=tau_hat / r, grid=grid, coeffs=coeffs)
+    # both built-in parameter sets use d = 0.1, given as r = 10 so that the
+    # delay is tau_hat / 10
+    settings = ["model.length=3.0", "model.a=2.5", "model.r=10",
+                f"model.tau_hat={tau_hat!r}", f"model.p={_FIGURES[figure]['p']}",
+                "model.delta=2 + 1*cos(0.2*x + 0)", "task.name=simulate"]
+    return load_config(None, overrides=parse_overrides(settings),
+                       grid_override=n_points).model
 
 
 def run_reproduce(figure: str, out: Path, n_points: int = 301) -> tuple[list[str], list[str]]:

@@ -28,12 +28,7 @@ import numpy as np
 
 from .grid import Grid1D
 from .model import CoefficientField, ModelParams, eval_nonlinearity
-from .steady import (
-    DiscreteLaplacian,
-    NewtonConvergenceError,
-    assemble_laplacian,
-    solve_steady_state,
-)
+from .steady import NewtonConvergenceError, solve_steady_state
 from .table import write_table
 
 TWO_PI = 2.0 * math.pi
@@ -194,7 +189,7 @@ def solve_poisson_meanzero(
             f"{abs(mean) / scale:.3e}); the Neumann problem is unsolvable"
         )
     ones, weights = np.ones(grid.n_points), grid.weights
-    z, _ = _bordered_solve(assemble_laplacian(grid), 0j, (ones, 1j * ones),
+    z, _ = _bordered_solve(grid, 0j, (ones, 1j * ones),
                            (weights, 1j * weights), 0.0, rhs - mean, np.zeros(2))
     return z
 
@@ -237,12 +232,13 @@ class _HopfNewtonFailure(RuntimeError):
 _DEFLATED_NODE = 1  # k of the rank-one deflation; interior on every grid
 
 
-def _bordered_solve(laplacian: DiscreteLaplacian, shift, cols, rows, corner,
+def _bordered_solve(grid: Grid1D, shift, cols, rows, corner,
                     g: np.ndarray, h: np.ndarray):
     """Solve a bordered tridiagonal system by one deflated ``zgttrf`` factor.
 
     The unknowns are a complex nodal field z and m real numbers p, and the
-    equations, for a complex ``shift``, are n complex and m real rows,
+    equations, for a complex ``shift`` and L the Laplacian of ``grid``, are
+    n complex and m real rows,
 
         (L + diag(shift)) z + sum_j p_j cols[j] = g,
         Re(conj(rows[i]) . z) + (corner p)_i    = h_i,
@@ -273,10 +269,10 @@ def _bordered_solve(laplacian: DiscreteLaplacian, shift, cols, rows, corner,
         If T has an exactly zero pivot or the reduced system is singular.
     """
     k = _DEFLATED_NODE
-    deflation = np.zeros(laplacian.grid.n_points)
-    deflation[k] = laplacian.main[k]
+    deflation = np.zeros(grid.n_points)
+    deflation[k] = grid.laplacian.main[k]
     try:
-        solve = laplacian.factor(shift + deflation)
+        solve = grid.laplacian.factor(shift + deflation)
     except np.linalg.LinAlgError as exc:
         raise _HopfNewtonFailure(str(exc)) from None
     solved = solve(np.column_stack([g, deflation, *cols]))[0]
@@ -298,7 +294,7 @@ def _bordered_solve(laplacian: DiscreteLaplacian, shift, cols, rows, corner,
     return base + basis @ unknowns, unknowns[2:]
 
 
-def _hopf_residual(state, model, u, laplacian):
+def _hopf_residual(state, model, u):
     """Residual (g1, (g2, Re mean, Im mean)), its norm, floor ratio, coupling, psi.
 
     The norm is max(|g1|, |g2|, |mean|).  The floor ratio is the largest
@@ -311,6 +307,7 @@ def _hopf_residual(state, model, u, laplacian):
     z, beta, omega, theta = state
     coeffs = model.coeffs
     c0 = coeffs.c0
+    laplacian = model.grid.laplacian
     fprime = eval_nonlinearity(u, order=1)
     coupling = np.exp(-1j * theta) * coeffs.p * fprime - coeffs.delta - 1j * omega
     psi = beta * c0 + model.r * z
@@ -331,8 +328,7 @@ def _hopf_residual(state, model, u, laplacian):
     return residual, res_norm, ratio, coupling, psi
 
 
-def _hopf_newton(state, model: ModelParams, u: np.ndarray,
-                 laplacian: DiscreteLaplacian):
+def _hopf_newton(state, model: ModelParams, u: np.ndarray):
     """Newton correction of (z, beta, omega, theta) at fixed r.
 
     Each step solves the bordered system of n complex rows for g1, one real
@@ -358,7 +354,7 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray,
     for iteration in range(_MAX_ITERATIONS + 1):
         state = (z, beta, omega, theta)
         (g1, border), res_norm, ratio, coupling, psi = _hopf_residual(
-            state, model, u, laplacian
+            state, model, u
         )
         if ratio <= 2.0 or 0.5 * previous < ratio <= 100.0:
             return state, res_norm
@@ -380,7 +376,7 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray,
         )
         corner = np.diag([2.0 * beta * c0 * c0 * model.grid.length, 0.0, 0.0])
         dz, (dbeta, domega, dtheta) = _bordered_solve(
-            laplacian, model.r * coupling, cols,
+            model.grid, model.r * coupling, cols,
             (2.0 * model.r**2 * weights * z, weights, 1j * weights), corner,
             -g1, -border,
         )
@@ -431,7 +427,6 @@ def continue_hopf(
             "to go beyond the validated regime"
         )
     limit = limit_hopf_data(coeffs, grid)
-    laplacian = assemble_laplacian(grid)
     state = (np.array(limit.z, dtype=complex), limit.beta, limit.omega, limit.theta)
     u_prev = np.full(grid.n_points, coeffs.c0)
 
@@ -441,8 +436,8 @@ def continue_hopf(
         r_next = min(r_current + step, r_target)
         model_next = model.with_r(r_next)
         try:
-            steady = solve_steady_state(model_next, u0=u_prev, laplacian=laplacian)
-            state, _ = _hopf_newton(state, model_next, steady.u, laplacian)
+            steady = solve_steady_state(model_next, u0=u_prev)
+            state, _ = _hopf_newton(state, model_next, steady.u)
         except (NewtonConvergenceError, _HopfNewtonFailure) as exc:
             solver = "steady" if isinstance(exc, NewtonConvergenceError) else "Hopf"
             raise ContinuationStallError(
@@ -459,7 +454,7 @@ def continue_hopf(
         beta, z = -beta, -z
     theta = theta % TWO_PI
     model_final = model.with_r(r_target)
-    res = _hopf_residual((z, beta, omega, theta), model_final, u_prev, laplacian)[1]
+    res = _hopf_residual((z, beta, omega, theta), model_final, u_prev)[1]
     return HopfSolution(
         model=model_final,
         u=u_prev,

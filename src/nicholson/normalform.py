@@ -35,7 +35,6 @@ from .hopf import (
     transversality,
 )
 from .model import ModelParams, eval_nonlinearity
-from .steady import assemble_laplacian
 from .table import write_table
 
 
@@ -102,7 +101,7 @@ def _solve_shifted(sol: HopfSolution, mu: complex, tau: float, rhs: np.ndarray,
     and the ``zgttrs`` solve, which needs no refinement pass.  The cost is
     linear in the number of nodes.
     """
-    laplacian = assemble_laplacian(sol.model.grid)
+    laplacian = sol.model.grid.laplacian
     shift = _delay_shift(sol.model, sol.u, mu, tau)
     try:
         solve = laplacian.factor(shift)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .grid import Grid1D, spatial_average
 from .model import ModelParams
-from .steady import assemble_laplacian, solve_steady_state
+from .steady import solve_steady_state
 from .table import write_table
 
 
@@ -130,6 +130,8 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
     The blow-up test (a largest magnitude not at most ``threshold`` raises
     :class:`BlowUpError`), ``observe`` and the snapshots run on blocks of
     up to ``_CHUNK`` states, for which a short delay gets a longer ring.
+    A run whose ``n_steps + 1`` times and means cannot be allocated is a
+    ValueError.
     """
     neg_a = np.array(-a)  # a ufunc takes a 0-d array faster than a float
 
@@ -155,9 +157,14 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
     if not (ring[:depth].min() > 0 and ring[:depth].max() < math.inf):
         raise ValueError("history must be finite and strictly positive")
     current = ring[n_delay].copy()
-    times = np.arange(n_steps + 1, dtype=float)
+    try:
+        times = np.arange(n_steps + 1, dtype=float)
+        means = np.empty(n_steps + 1)
+    except MemoryError:
+        raise ValueError(
+            f"t_end = {n_steps * dt:.6g} at dt = {dt:.6g} is {n_steps} steps, "
+            "whose trace of times and means cannot be allocated") from None
     times *= dt
-    means = np.empty(n_steps + 1)
     means[0] = observe(current)
     snapshots = [(0.0, current.copy())] if stride else []
     step = 0
@@ -241,7 +248,7 @@ def simulate_pde(
     symmetric positive definite, so the step is
     u_new = (W A)^-1 (W (2 - dt delta) u + W births) - u: one ``pttrs``
     solve with the ``pttrf`` factor that
-    :meth:`~nicholson.steady.DiscreteLaplacian.weighted_factor` makes once,
+    :meth:`~nicholson.grid.DiscreteLaplacian.weighted_factor` makes once,
     W folded into the coefficients at setup.  The births dt p v exp(-a v)
     of up to tau_hat / dt + 1 steps are evaluated in one call; at zero
     delay each step evaluates its own from the state before it.
@@ -256,8 +263,8 @@ def simulate_pde(
     levels = ((lambda t: history(grid.nodes, t)) if callable(history)
               else (lambda t: history))
 
-    solve = assemble_laplacian(grid).weighted_factor(-0.5 * dt * model.d)
-    weights = grid.weights / grid.spacing  # the W of weighted_factor
+    solve = grid.laplacian.weighted_factor(-0.5 * dt * model.d)
+    weights = grid.laplacian.symmetrizer  # the W of weighted_factor
     keep = weights * (2.0 - dt * model.coeffs.delta)
     rhs, birth, scratch = np.empty((3, grid.n_points))
 

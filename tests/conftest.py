@@ -23,7 +23,6 @@ from nicholson.model import (
     build_coefficients,
     eval_nonlinearity,
 )
-from nicholson.steady import assemble_laplacian
 
 FIG1_P = "10 + 1*sin(1*x + 0)"
 FIG2_P = "30 + 1*sin(1*x + 0)"
@@ -62,7 +61,7 @@ def characteristic_matrix(model: ModelParams, u, mu: complex,
     coeffs = model.coeffs
     shift = (model.r * np.exp(-mu * tau) * coeffs.p * eval_nonlinearity(u, order=1)
              - model.r * coeffs.delta - mu)
-    return dense_laplacian(assemble_laplacian(model.grid)) + np.diag(shift)
+    return dense_laplacian(model.grid.laplacian) + np.diag(shift)
 
 
 def constant_model(c0: float, grid: Grid1D, r: float,

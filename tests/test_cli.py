@@ -1,5 +1,6 @@
 """Command-line interface: config handling, tasks, exit codes, manifests."""
 
+import ast
 import importlib.machinery
 import inspect
 import math
@@ -30,7 +31,7 @@ from nicholson.hopf import (
     continue_hopf,
 )
 from nicholson.normalform import normal_form_report, write_normalform_csv
-from nicholson.steady import DiscreteLaplacian, assemble_laplacian
+from nicholson.grid import DiscreteLaplacian
 
 FIG2_CONFIG = """\
 [model]
@@ -332,16 +333,15 @@ class TestTaskRuns:
         write_normalform_csv(reference, sol,
                              [normal_form_report(sol, n) for n in range(3)])
         built = []
+        real_factor = DiscreteLaplacian.factor
 
-        class CountedLaplacian(DiscreteLaplacian):
-            def factor(self, shift):
+        def counted(self, shift):
+            # the factorizations of the normal form's shifted solves only
+            if sys._getframe(1).f_code is normalform._solve_shifted.__code__:
                 built.append(shift)
-                return super().factor(shift)
+            return real_factor(self, shift)
 
-        def counted(grid):
-            return CountedLaplacian(**vars(assemble_laplacian(grid)))
-
-        monkeypatch.setattr(normalform, "assemble_laplacian", counted)
+        monkeypatch.setattr(DiscreteLaplacian, "factor", counted)
         out = tmp_path / "nf-out"
         code = main(["normalform", "--config", str(fig2_config),
                      "--set", "task.n_max=2", "--out", str(out)])
@@ -447,10 +447,10 @@ class TestTaskRuns:
 
         real_newton = hopf_module._hopf_newton
 
-        def failing_above(state, model, u, laplacian):
+        def failing_above(state, model, u):
             if model.r > 0.05:
                 raise hopf_module._HopfNewtonFailure("forced failure")
-            return real_newton(state, model, u, laplacian)
+            return real_newton(state, model, u)
 
         monkeypatch.setattr(hopf_module, "_hopf_newton", failing_above)
         out = tmp_path / "real-stall-out"
@@ -540,6 +540,27 @@ class TestExitCodes:
         assert code == 1
         assert "'tend'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_reproduce_rejects_a_two_point_grid(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["reproduce", "fig2", "--grid", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model grid: n_points must be")
+        assert "Traceback" not in err
+
+    def test_unallocatable_trace_is_config_error(self, tmp_path, fig2_config,
+                                                 capsys):
+        # 2e14 steps: 1.6 PB for each of the times and the means, beyond
+        # any address space, so the allocation fails at once
+        code, out = run_with(tmp_path, "simulate", ["task.t_end=1e12"],
+                             fig2_config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_end = 1e+12 at dt = ")
+        assert "cannot be allocated" in err and "Traceback" not in err
+        assert not (out / "trace.csv").exists()
 
     def test_reproduce_rejects_config_and_set(self, tmp_path, monkeypatch,
                                               capsys):
@@ -874,6 +895,18 @@ class TestModelValues:
         assert f"config error: model.{key} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e200", "1e-200"])
+    def test_length_without_finite_laplacian_is_config_error(
+            self, tmp_path, fig2_config, no_solver, capsys, value):
+        # 1/spacing^2 once raised OverflowError or ZeroDivisionError
+        code, out = run_with(tmp_path, "steady", [f"model.length={value}"],
+                             fig2_config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model grid: ")
+        assert "1/spacing^2 is not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["p", "delta"])
     def test_nonfinite_coefficient_is_config_error(
@@ -982,3 +1015,23 @@ print("ok")
         found = [path.name for path in sorted(src.glob("*.py"))
                  if "scipy" in path.read_text(encoding="utf-8")]
         assert found == ["_lapack.py"]
+
+    def test_only_the_grid_builds_the_laplacian(self):
+        # Grid1D builds its Laplacian once; solvers read grid.laplacian
+        # rather than take one as an argument
+        src = Path(__file__).resolve().parents[1] / "src" / "nicholson"
+        params, builds = [], []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.arguments):
+                    params += [f"{path.name}: {arg.arg}" for arg in
+                               (*node.posonlyargs, *node.args, *node.kwonlyargs)
+                               if arg.arg == "laplacian"]
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(
+                        func, "attr", None)
+                    if name == "DiscreteLaplacian":
+                        builds.append(path.name)
+        assert params == []
+        assert builds == ["grid.py"]

@@ -49,15 +49,38 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(length=1.0, n_points=2)
 
-    @pytest.mark.parametrize("length", [math.inf, math.nan])
-    def test_rejects_nonfinite_length(self, length):
-        with pytest.raises(ValueError, match="length must be positive and finite"):
+    @pytest.mark.parametrize("length, message", [
+        pytest.param(math.inf, "length must be positive and finite", id="inf"),
+        pytest.param(math.nan, "length must be positive and finite", id="nan"),
+        # spacing**2 overflows, or underflows to zero
+        pytest.param(1e200, r"1/spacing\^2 is not finite", id="1e+200"),
+        pytest.param(1e-200, r"1/spacing\^2 is not finite", id="1e-200"),
+    ])
+    def test_rejects_nonfinite_length(self, length, message):
+        with pytest.raises(ValueError, match=message):
             Grid1D(length=length, n_points=5)
 
     def test_arrays_frozen(self):
         grid = Grid1D(length=1.0, n_points=5)
         with pytest.raises(ValueError):
             grid.nodes[0] = 1.0
+
+    def test_laplacian_built_once_and_frozen(self):
+        grid = Grid1D(length=3.0, n_points=7)
+        assert grid.laplacian is grid.laplacian
+        assert grid.laplacian.main[0] == -2.0 / grid.spacing**2
+        for diagonal in (grid.laplacian.main, grid.laplacian.upper,
+                         grid.laplacian.lower):
+            with pytest.raises(ValueError):
+                diagonal[0] = 1.0
+
+    @pytest.mark.parametrize("length", [1e-150, 0.7, 3.0, math.pi, 1e150])
+    @pytest.mark.parametrize("n", [3, 301, 4801])
+    def test_symmetrizer_is_weights_over_spacing(self, length, n):
+        # weighted_factor and the stepper take W from the size alone
+        grid = Grid1D(length=length, n_points=n)
+        assert np.array_equal(grid.laplacian.symmetrizer,
+                              grid.weights / grid.spacing)
 
 
 class TestNonlinearity:

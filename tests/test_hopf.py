@@ -25,7 +25,7 @@ from nicholson.hopf import (
     write_hopf_csv,
 )
 from nicholson.model import CoefficientSpec, build_coefficients
-from nicholson.steady import assemble_laplacian, solve_steady_state
+from nicholson.steady import solve_steady_state
 
 from conftest import (
     characteristic_matrix,
@@ -121,17 +121,16 @@ def reference_bordered(core, cols, rows, corner):
     )
 
 
-def reference_poisson_matrix(laplacian):
-    n = laplacian.grid.n_points
-    return reference_bordered(sparse_laplacian(laplacian), np.ones((n, 1)),
-                              laplacian.grid.weights[np.newaxis, :],
-                              np.zeros((1, 1)))
+def reference_poisson_matrix(grid):
+    n = grid.n_points
+    return reference_bordered(sparse_laplacian(grid.laplacian), np.ones((n, 1)),
+                              grid.weights[np.newaxis, :], np.zeros((1, 1)))
 
 
-def reference_hopf_matrix(laplacian, shift, cols, norm_row, corner):
-    n = laplacian.grid.n_points
-    weights = laplacian.grid.weights
-    block = sparse_laplacian(laplacian, shift.real)
+def reference_hopf_matrix(grid, shift, cols, norm_row, corner):
+    n = grid.n_points
+    weights = grid.weights
+    block = sparse_laplacian(grid.laplacian, shift.real)
     im_c = diags(shift.imag)
     core = bmat([[block, -im_c], [im_c, block]])
     cols = np.column_stack(cols)
@@ -146,12 +145,12 @@ def reference_hopf_matrix(laplacian, shift, cols, norm_row, corner):
                               corners)
 
 
-def dense_system(laplacian, shift, cols, rows, corner, g, h):
+def dense_system(grid, shift, cols, rows, corner, g, h):
     """A recorded Poisson or Hopf system as a dense matrix and right-hand
     side, from the reference builders."""
     if len(cols) == 2:  # [[L, 1], [w, 0]] [z; lambda] = [g; 0]
-        return reference_poisson_matrix(laplacian).toarray(), np.append(g, 0.0)
-    matrix = reference_hopf_matrix(laplacian, shift, cols, rows[0], corner[0, 0])
+        return reference_poisson_matrix(grid).toarray(), np.append(g, 0.0)
+    matrix = reference_hopf_matrix(grid, shift, cols, rows[0], corner[0, 0])
     return matrix.toarray(), np.concatenate([g.real, g.imag, h])
 
 
@@ -187,15 +186,15 @@ class TestBorderedSolve:
         # a shift that cancels the deflation leaves the Neumann L, whose
         # last pivot is exactly zero; zero border columns leave the reduced
         # system singular
-        laplacian = assemble_laplacian(Grid1D(length=3.0, n_points=3))
-        ones, weights = np.ones(3), laplacian.grid.weights
+        grid = Grid1D(length=3.0, n_points=3)
+        ones, weights = np.ones(3), grid.weights
         cancel = np.zeros(3, dtype=complex)
-        cancel[1] = -laplacian.main[1]
+        cancel[1] = -grid.laplacian.main[1]
         for shift, cols in ((cancel, (ones, 1j * ones)),
                             (0j, (0 * ones, 0 * ones))):
             with pytest.raises(hopf_module._HopfNewtonFailure, match="singular"):
                 hopf_module._bordered_solve(
-                    laplacian, shift, cols, (weights, 1j * weights), 0.0,
+                    grid, shift, cols, (weights, 1j * weights), 0.0,
                     ones + 0j, np.zeros(2))
 
 
@@ -300,7 +299,7 @@ class TestStoppingRule:
             calls["steady"] += 1
             return real_steady(*args, **kwargs)
 
-        def failing(state, model, u, laplacian):
+        def failing(state, model, u):
             calls["hopf"] += 1
             raise hopf_module._HopfNewtonFailure(f"forced failure at {model.r:.6g}")
 

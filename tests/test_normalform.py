@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import zgtcon
 from scipy.optimize import brentq
 
-from nicholson import normalform, steady
+from nicholson import grid as grid_module, normalform
 from nicholson.grid import Grid1D
 from nicholson.hopf import HopfSolution, continue_hopf, limit_phase
 from nicholson.model import (
@@ -312,11 +312,14 @@ class TestResonanceGuard:
         # an all-zero column 7 of the shifted tridiagonal (main[7] + shift[7],
         # upper[6] and lower[7]) leaves an exactly zero pivot: the guard must
         # refuse it before the condition estimate or the solve sees the factor
-        def zero_column_laplacian(grid):
-            lap = steady.assemble_laplacian(grid)
-            main, upper, lower = lap.main.copy(), lap.upper.copy(), lap.lower.copy()
-            main[7] = upper[6] = lower[7] = 0.0
-            return replace(lap, main=main, upper=upper, lower=lower)
+        sol = fig2_branch[1e-2]
+        grid = replace(sol.model.grid)  # a grid of its own, to rig
+        lap = grid.laplacian
+        main, upper, lower = lap.main.copy(), lap.upper.copy(), lap.lower.copy()
+        main[7] = upper[6] = lower[7] = 0.0
+        object.__setattr__(grid, "laplacian",
+                           replace(lap, main=main, upper=upper, lower=lower))
+        sol = replace(sol, model=replace(sol.model, grid=grid))
 
         delay_shift = normalform._delay_shift
 
@@ -328,11 +331,9 @@ class TestResonanceGuard:
         def unreachable(*args):
             raise AssertionError("singular factor passed on")
 
-        monkeypatch.setattr(normalform, "assemble_laplacian", zero_column_laplacian)
         monkeypatch.setattr(normalform, "_delay_shift", zero_column_shift)
         monkeypatch.setattr(normalform, "zgtcon", unreachable)
-        monkeypatch.setattr(steady, "zgttrs", unreachable)
-        sol = fig2_branch[1e-2]
+        monkeypatch.setattr(grid_module, "zgttrs", unreachable)
         for correction in (second_harmonic_correction, zero_mode_correction):
             with pytest.raises(ResonanceError,
                                match=r"near-singular \(condition estimate inf\)"):

@@ -31,7 +31,7 @@ from nicholson.simulate import (
     write_spacetime_csv,
     write_trace_csv,
 )
-from nicholson.steady import assemble_laplacian, solve_steady_state
+from nicholson.steady import solve_steady_state
 
 
 def synthetic_trace(values: np.ndarray, dt: float) -> SimulationTrace:
@@ -309,7 +309,7 @@ def reference_pde(model, history, t_end, dt, snapshot_stride=None,
     dt, n_delay, n_steps = _snap_step(model.tau_hat, dt, t_end)
     grid, n = model.grid, model.grid.n_points
     half = 0.5 * dt * model.d
-    lap = sparse_laplacian(assemble_laplacian(grid))
+    lap = sparse_laplacian(grid.laplacian)
     implicit = splu(identity(n, format="csc") - half * lap)
     explicit = identity(n, format="csc") + half * lap
     p, delta, a = model.coeffs.p, model.coeffs.delta, model.a

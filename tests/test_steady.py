@@ -16,7 +16,6 @@ from nicholson.model import (
 )
 from nicholson.steady import (
     NewtonConvergenceError,
-    assemble_laplacian,
     solve_steady_state,
     steady_residual,
     write_steady_csv,
@@ -26,27 +25,27 @@ from conftest import constant_model, dense_laplacian, figure_model, sparse_lapla
 
 class TestLaplacian:
     def test_row_sums_vanish_exactly(self):
-        lap = assemble_laplacian(Grid1D(length=3.0, n_points=47))
+        lap = Grid1D(length=3.0, n_points=47).laplacian
         row_sums = dense_laplacian(lap).sum(axis=1)
         assert np.all(row_sums == 0.0)
 
     def test_weighted_symmetry_exact(self):
         grid = Grid1D(length=2.0, n_points=31)
-        lap = assemble_laplacian(grid)
+        lap = grid.laplacian
         weighted = np.diag(grid.weights) @ dense_laplacian(lap)
         assert np.array_equal(weighted, weighted.T)
 
     def test_neumann_eigenfunction(self):
         # cos(pi x / L) has Laplacian eigenvalue -(pi/L)^2 and zero flux
         grid = Grid1D(length=3.0, n_points=301)
-        lap = assemble_laplacian(grid)
+        lap = grid.laplacian
         mode = np.cos(np.pi * grid.nodes / grid.length)
         exact = -((np.pi / grid.length) ** 2) * mode
         assert np.abs(lap.apply(mode) - exact).max() < 2e-4
 
     def test_apply_matches_matrix(self):
         grid = Grid1D(length=1.0, n_points=21)
-        lap = assemble_laplacian(grid)
+        lap = grid.laplacian
         rng = np.random.default_rng(7)
         v = rng.standard_normal(21)
         assert np.allclose(lap.apply(v), dense_laplacian(lap) @ v, atol=1e-12)
@@ -77,7 +76,7 @@ class TestFactor:
         # fig. 2 crossing, L + r coupling + L[1, 1] e_1 e_1^T, where
         # L + r coupling alone is singular
         grid = Grid1D(length=3.0, n_points=n)
-        lap = assemble_laplacian(grid)
+        lap = grid.laplacian
         if hopf:
             sol = continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
             coeffs = sol.model.coeffs
@@ -100,7 +99,7 @@ class TestFactor:
         # the weighted Crank-Nicolson matrix W - h W L, h = dt d / 2, at
         # dt = 5e-3
         grid = Grid1D(length=3.0, n_points=n)
-        lap = assemble_laplacian(grid)
+        lap = grid.laplacian
         h = 0.5 * 5e-3 * d
         weights = np.diag(grid.weights / grid.spacing)
         self.assert_matches_dense(lap.weighted_factor(-h),
@@ -113,7 +112,7 @@ class TestFactor:
         # rounding of W (I - h L) made it drift by 8e-9 in these 20000
         # steps at d = 100
         grid = Grid1D(length=3.0, n_points=301)
-        solve = assemble_laplacian(grid).weighted_factor(-0.5 * 5e-3 * d)
+        solve = grid.laplacian.weighted_factor(-0.5 * 5e-3 * d)
         w = grid.weights / grid.spacing
         u = 1.0 + 0.1 * np.cos(grid.nodes) + 0.05 * np.sin(7 * grid.nodes)
         mass = w @ u
@@ -125,7 +124,7 @@ class TestFactor:
     def test_weighted_laplacian_symmetric_to_the_last_bit(self, length, n):
         # the off-diagonals weighted_factor hands to pttrf, and W L itself
         grid = Grid1D(length=length, n_points=n)
-        lap = assemble_laplacian(grid)
+        lap = grid.laplacian
         w = grid.weights / grid.spacing
         assert w[0] == w[-1] == 0.5 and np.all(w[1:-1] == 1.0)
         assert np.array_equal(w[:-1] * lap.upper, w[1:] * lap.lower)
@@ -135,13 +134,13 @@ class TestFactor:
 
     def test_weighted_not_positive_definite_raises(self):
         # W (I + L) is indefinite: L reaches -4 / spacing^2
-        lap = assemble_laplacian(Grid1D(length=3.0, n_points=201))
+        lap = Grid1D(length=3.0, n_points=201).laplacian
         with pytest.raises(np.linalg.LinAlgError,
                            match="not positive definite: pivot D"):
             lap.weighted_factor(1.0)
 
     def test_neumann_zero_pivot_raises(self):
-        lap = assemble_laplacian(Grid1D(length=3.0, n_points=201))
+        lap = Grid1D(length=3.0, n_points=201).laplacian
         with pytest.raises(np.linalg.LinAlgError, match=r"U\[200, 200\]"):
             lap.factor(0.0)
 
@@ -221,8 +220,7 @@ class TestStoppingRule:
         for n in (201, 801, 1201, 4801):
             model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=r)
             steady = solve_steady_state(model)
-            floor = steady_module._roundoff_floor(
-                steady.u, model, assemble_laplacian(model.grid))
+            floor = steady_module._roundoff_floor(steady.u, model)
             assert steady.residual_norm <= floor
             iterations[n] = steady.newton_iterations
         assert max(iterations.values()) <= iterations[201], iterations
@@ -233,7 +231,7 @@ class TestStoppingRule:
         # below the floor still moves the mean of u by residual / r; Newton
         # corrections from residuals summed in long double show what is left
         model = figure_model("fig2", Grid1D(length=3.0, n_points=n), r=r)
-        lap = assemble_laplacian(model.grid)
+        lap = model.grid.laplacian
         u = solve_steady_state(model).u
         wide = u.astype(np.longdouble)
         p = model.coeffs.p.astype(np.longdouble)
@@ -253,8 +251,7 @@ class TestStoppingRule:
         coarse = figure_model("fig2", Grid1D(length=3.0, n_points=101), r=1e-2)
         fine = figure_model("fig2", Grid1D(length=3.0, n_points=1001), r=1e-2)
         floors = [
-            steady_module._roundoff_floor(
-                np.full(m.grid.n_points, 2.0), m, assemble_laplacian(m.grid))
+            steady_module._roundoff_floor(np.full(m.grid.n_points, 2.0), m)
             for m in (coarse, fine)
         ]
         assert floors[1] / floors[0] == pytest.approx(100.0, rel=1e-3)
