@@ -5,7 +5,8 @@ Delay thresholds for the onset of oscillation
 Runs the Hopf continuation from the large-diffusion limit down to finite
 r for the oscillatory coefficient family, prints the crossing data and
 the ladder of delay thresholds, and checks the convergence of the finite-r
-solution toward the closed-form r -> 0 limit.  Also shows the NoHopf
+solution toward the closed-form r -> 0 limit, which is the same kind of
+crossing at r = 0.  Also shows the NoHopf
 verdict for a family with c0 < 2, where no threshold exists.
 """
 
@@ -16,8 +17,6 @@ from nicholson import (
     NoHopfError,
     build_coefficients,
     continue_hopf,
-    hopf_thresholds,
-    limit_hopf_data,
     transversality,
 )
 
@@ -28,24 +27,24 @@ coeffs = build_coefficients(
 )
 print(f"c0 = {coeffs.c0:.6f} > 2, so a Hopf threshold ladder exists\n")
 
-limit = limit_hopf_data(coeffs, grid)
+limit = continue_hopf(ModelParams(r=0.0, a=2.5, tau=0.0, grid=grid,
+                                  coeffs=coeffs))
 print(f"r -> 0 limit: theta0 = {limit.theta:.9f}, omega0 = {limit.omega:.9f}")
 
 print("\nr          theta          omega          beta         "
       "|theta - theta0|")
 for r in (1e-1, 1e-2, 1e-3):
     model = ModelParams(r=r, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
-    sol = continue_hopf(model, r)
+    sol = continue_hopf(model)
     print(f"{r:<10g} {sol.theta:<14.9f} {sol.omega:<14.9f}"
           f" {sol.beta:<12.9f} {abs(sol.theta - limit.theta):.3e}")
 
 # the threshold ladder at a working diffusion rate, in original time units
 model = ModelParams(r=1e-2, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
-sol = continue_hopf(model, 1e-2)
-ladder = hopf_thresholds(sol, n_max=3)
+sol = continue_hopf(model)
 print("\ndelay thresholds at r = 0.01 (original time):")
-for n, tau_hat in enumerate(ladder.taus_hat):
-    print(f"  tau_hat_{n} = {tau_hat:.6f}")
+for n in range(4):
+    print(f"  tau_hat_{n} = {sol.tau_hat_n(n):.6f}")
 
 crossing = transversality(sol, 0)
 print(f"\nRe d mu / d tau at the first threshold = {crossing.real:.6e} > 0"
@@ -57,6 +56,6 @@ quiet = build_coefficients(
 )
 model = ModelParams(r=1e-2, a=2.5, tau=0.0, grid=grid, coeffs=quiet)
 try:
-    continue_hopf(model, 1e-2)
+    continue_hopf(model)
 except NoHopfError as exc:
     print(f"\nlow birth rate family: {exc}")

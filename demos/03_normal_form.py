@@ -29,7 +29,7 @@ coeffs = build_coefficients(
     grid,
 )
 model = ModelParams(r=1e-2, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
-sol = continue_hopf(model, 1e-2)
+sol = continue_hopf(model)
 
 report = normal_form_report(sol, 0)
 print(f"first threshold tau_hat_0 = {report.tau_hat_n:.6f}")

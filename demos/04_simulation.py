@@ -6,7 +6,7 @@ Simulates the full delay PDE just below and just above the first Hopf
 threshold computed by the spectral pipeline, classifies the tails, and
 compares the measured period against the linear prediction.  The same
 experiment is repeated for the spatially averaged scalar equation, whose
-threshold is the closed-form 2 pi / (3 sqrt 3) scaled by the averages.
+threshold is the first rung of the crossing's ladder at r = 0.
 """
 
 import math
@@ -18,7 +18,6 @@ from nicholson import (
     build_coefficients,
     continue_hopf,
     estimate_period,
-    hopf_thresholds,
     simulate_average_dde,
     simulate_pde,
 )
@@ -31,8 +30,8 @@ coeffs = build_coefficients(
 )
 base = ModelParams(r=1e-2, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
 
-sol = continue_hopf(base, 1e-2)
-tau_hat_0 = hopf_thresholds(sol, n_max=0).taus_hat[0]
+sol = continue_hopf(base)
+tau_hat_0 = sol.tau_hat_n(0)
 linear_period = 2.0 * math.pi * sol.r / sol.nu
 print(f"predicted threshold tau_hat_0 = {tau_hat_0:.6f}")
 print(f"predicted period at onset     = {linear_period:.6f}\n")
@@ -50,11 +49,8 @@ for factor in (0.95, 1.05):
               f" (tail trend ratio {est.trend_ratio:.3f})")
 
 # the spatially averaged scalar equation shows the same transition; its
-# threshold is known in closed form once c0 and delta_bar are fixed
-c0 = coeffs.c0
-spread = math.sqrt(c0 * c0 - 2.0 * c0)
-theta0 = math.acos(1.0 / (1.0 - c0))
-tau_check_0 = theta0 / (coeffs.delta_bar * spread)
+# threshold is the limit of tau_hat_0 as d = 1/r grows without bound
+tau_check_0 = continue_hopf(base.with_r(0.0)).tau_hat_n(0)
 print(f"\nscalar comparison: threshold tau_check_0 = {tau_check_0:.6f}")
 for factor in (0.9, 1.1):
     trace = simulate_average_dde(

@@ -31,14 +31,10 @@ from .steady import (
 from .hopf import (
     ContinuationStallError,
     HopfSolution,
-    LimitHopfData,
     NoHopfError,
     SimplicityWarning,
     SolvabilityError,
-    ThresholdSequence,
     continue_hopf,
-    hopf_thresholds,
-    limit_hopf_data,
     limit_nondegeneracy_integral,
     limit_phase,
     limit_transversality_real,
@@ -96,14 +92,10 @@ __all__ = [
     "write_steady_csv",
     "ContinuationStallError",
     "HopfSolution",
-    "LimitHopfData",
     "NoHopfError",
     "SimplicityWarning",
     "SolvabilityError",
-    "ThresholdSequence",
     "continue_hopf",
-    "hopf_thresholds",
-    "limit_hopf_data",
     "limit_nondegeneracy_integral",
     "limit_phase",
     "limit_transversality_real",

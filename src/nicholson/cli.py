@@ -34,8 +34,6 @@ from .hopf import (
     NoHopfError,
     SolvabilityError,
     continue_hopf,
-    hopf_thresholds,
-    limit_hopf_data,
     limit_nondegeneracy_integral,
     limit_transversality_real,
     nondegeneracy_integral,
@@ -114,8 +112,7 @@ def _prepare_out(out_dir: str) -> Path:
 
 
 def _continuation(config: RunConfig):
-    model = config.model
-    return _call("hopf.continue_hopf", continue_hopf, model, model.r,
+    return _call("hopf.continue_hopf", continue_hopf, config.model,
                  r_cap=config.options["r_cap"])
 
 
@@ -143,10 +140,9 @@ def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         sol = _continuation(config)
     except NoHopfError:
         return [_no_hopf_line(model.coeffs.c0)], []
-    thresholds = _call("hopf.hopf_thresholds", hopf_thresholds, sol,
-                       n_max=config.options["n_max"])
+    n_max = config.options["n_max"]
     path = out / "hopf.csv"
-    write_hopf_csv(path, sol, thresholds)
+    write_hopf_csv(path, sol, n_max)
     integral = _call("hopf.nondegeneracy_integral", nondegeneracy_integral, sol, 0)
     crossing = _call("hopf.transversality", transversality, sol, 0)
     summary = [
@@ -159,10 +155,8 @@ def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         f"beta = {sol.beta:.12g}",
         f"residual_norm = {sol.residual_norm:.12g}",
     ]
-    summary.extend(
-        f"tau_hat_{k} = {tau_hat:.12g}"
-        for k, tau_hat in enumerate(thresholds.taus_hat)
-    )
+    summary.extend(f"tau_hat_{k} = {sol.tau_hat_n(k):.12g}"
+                   for k in range(n_max + 1))
     summary.extend([
         f"Re_S0 = {integral.real:.12g}",
         f"Im_S0 = {integral.imag:.12g}",
@@ -281,13 +275,12 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_row(model: ModelParams, r: float, r_cap: float) -> tuple:
-    sol = continue_hopf(model.with_r(r), r, r_cap=r_cap)
-    thresholds = hopf_thresholds(sol, n_max=0)
+    sol = continue_hopf(model.with_r(r), r_cap=r_cap)
     integral = nondegeneracy_integral(sol, 0)
     report = normal_form_report(sol, 0)
     return (
-        r, 1.0 / r, sol.theta, sol.omega, sol.beta, thresholds.taus[0],
-        thresholds.taus_hat[0], integral.real, integral.imag,
+        r, 1.0 / r, sol.theta, sol.omega, sol.beta, sol.tau_n(0),
+        sol.tau_hat_n(0), integral.real, integral.imag,
         report.dmu.real / r**2, report.c1.real, "OK",
     )
 
@@ -305,14 +298,15 @@ def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         except _SOLVER_ERRORS + (NoHopfError,):
             rows.append((r, 1.0 / r) + (BLANK,) * 9 + ("STALL",))
             stalled += 1
-    limit = limit_hopf_data(coeffs, model.grid)
-    tau_hat0 = limit.theta / limit.omega
+    limit = _call("hopf.continue_hopf", continue_hopf, model.with_r(0.0))
+    tau_hat0 = limit.tau_hat_n(0)
     integral = limit_nondegeneracy_integral(coeffs.c0, model.grid.length, 0)
     crossing = limit_transversality_real(coeffs, model.grid, 0)
     lyapunov = limit_lyapunov_real(coeffs.c0, 0)
     rows.append((
-        0.0, math.inf, limit.theta, limit.omega, 1.0, math.inf, tau_hat0,
-        integral.real, integral.imag, crossing, lyapunov, "LIMIT",
+        limit.r, limit.model.d, limit.theta, limit.omega, limit.beta,
+        math.inf, tau_hat0, integral.real, integral.imag, crossing, lyapunov,
+        "LIMIT",
     ))
     path = out / "sweep.csv"
     write_table(path, _SWEEP_COLUMNS, list(zip(*rows)))
@@ -353,13 +347,19 @@ def _reproduce_model(figure: str, tau_hat: float, n_points: int) -> ModelParams:
                        grid_override=n_points).model
 
 
-def run_reproduce(figure: str, out: Path, n_points: int = 301) -> tuple[list[str], list[str]]:
-    """Run both figure delays and summarize the regimes and c0 check."""
+def run_reproduce(figure: str, out_dir: str | Path, n_points: int = 301) -> tuple[list[str], list[str]]:
+    """Run both figure delays and summarize the regimes and c0 check.
+
+    Both models are built, and so the grid checked, before ``out_dir`` is
+    created.
+    """
     reference = _FIGURES[figure]["reference_c0"]
+    delays = (0.0, 2.0)
+    models = [_reproduce_model(figure, tau_hat, n_points) for tau_hat in delays]
+    out = _prepare_out(out_dir)
     summary: list[str] = []
     files: list[str] = []
-    for tau_hat in (0.0, 2.0):
-        model = _reproduce_model(figure, tau_hat, n_points)
+    for tau_hat, model in zip(delays, models):
         trace = _call(
             "simulator.simulate_pde", simulate_pde, model,
             t_end=400.0, dt=5e-3,
@@ -446,12 +446,11 @@ def main(argv=None) -> int:
                     "reproduce runs a built-in parameter set and takes no "
                     + " or ".join(ignored)
                 )
-            out = _prepare_out(args.out or f"reproduce-{args.figure}-out")
-            summary, files = run_reproduce(
-                args.figure, out, n_points=args.grid or 301
-            )
-            echo = [f"figure = {args.figure}", f"n_points = {args.grid or 301}"]
-            _finish_run(out, echo, summary, files)
+            out = args.out or f"reproduce-{args.figure}-out"
+            n_points = 301 if args.grid is None else args.grid
+            summary, files = run_reproduce(args.figure, out, n_points=n_points)
+            echo = [f"figure = {args.figure}", f"n_points = {n_points}"]
+            _finish_run(Path(out), echo, summary, files)
             return EXIT_OK
         overrides = parse_overrides(args.set)
         overrides[("task", "name")] = args.command

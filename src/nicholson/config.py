@@ -224,8 +224,8 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
         raise ConfigError("model accepts at most one of tau_hat or tau")
     if tau is None:
         tau = (tau_hat / r) if tau_hat is not None else 0.0
-    if tau < 0:
-        raise ConfigError(f"delay must be nonnegative, got {tau:.6g}")
+    if not 0 <= tau < math.inf:  # tau_hat / r overflows for a tiny r
+        raise ConfigError(f"delay must be nonnegative and finite, got tau = {tau:.6g}")
 
     p_spec = _coefficient(model_table, "p", grid)
     delta_spec = _coefficient(model_table, "delta", grid)

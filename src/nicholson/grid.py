@@ -111,6 +111,9 @@ class DiscreteLaplacian:
 class Grid1D:
     """Uniform mesh on [0, length] with trapezoid quadrature weights.
 
+    Grids compare and hash by ``(length, n_points)``; every other attribute
+    is derived from those two.
+
     Parameters
     ----------
     length : float
@@ -132,9 +135,9 @@ class Grid1D:
 
     length: float
     n_points: int
-    spacing: float = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    spacing: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
     laplacian: DiscreteLaplacian = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -8,14 +8,18 @@ psi = beta*c0 + r*z into its mean and a mean-zero field z, to the system
     g1 = Laplace(z) + (exp(-i theta) p f'(u_r) - delta - i omega) (beta c0 + r z) = 0
     g2 = (beta^2 - 1) c0^2 |Omega| + r^2 ||z||^2 = 0,
 
-with z of zero quadrature mean.  At r = 0 the system has the closed-form
-solution computed by :func:`limit_hopf_data`; :func:`continue_hopf` follows
-that solution to positive r by a predictor-corrector Newton continuation.
-A solution yields the countable family of delay thresholds
+with z of zero quadrature mean.  At r = 0 the system has a closed-form
+solution; :func:`continue_hopf` follows it to the model's r by a
+predictor-corrector Newton continuation.  The resulting
+:class:`HopfSolution` is the crossing at every r, the limit included, and
+yields the countable family of delay thresholds
 
     tau_n = (theta + 2 pi n) / nu,        n = 0, 1, 2, ...
 
-at which eigenvalue pairs cross the imaginary axis.
+at which eigenvalue pairs cross the imaginary axis, read through
+:meth:`HopfSolution.tau_n`; :meth:`HopfSolution.tau_hat_n` gives them in
+the time of the unnormalized model, tau_hat_n = r tau_n, which stays finite
+as r -> 0.
 """
 
 from __future__ import annotations
@@ -78,29 +82,6 @@ def limit_phase(c0: float) -> float:
 
 
 @dataclass(frozen=True)
-class LimitHopfData:
-    """Closed-form crossing data of the large-diffusion (r -> 0) limit.
-
-    Attributes
-    ----------
-    theta : float
-        Phase lag theta0 in (pi/2, pi).
-    omega : float
-        Frequency of the averaged dynamics, mean(delta)*sqrt(c0^2 - 2 c0).
-    beta : float
-        Mean amplitude of the eigenfunction; 1 in the limit.
-    z : ndarray
-        Mean-zero complex field solving
-        Laplace(z) = -c0 f'(c0) p(x) e^{-i theta} + c0 delta(x) + i omega c0.
-    """
-
-    theta: float
-    omega: float
-    beta: float
-    z: np.ndarray
-
-
-@dataclass(frozen=True)
 class HopfSolution:
     """One point on the branch of imaginary-axis eigenvalue crossings.
 
@@ -131,20 +112,28 @@ class HopfSolution:
     def r(self) -> float:
         return self.model.r
 
+    def tau_n(self, n: int) -> float:
+        """n-th delay threshold in normalized time, (theta + 2 pi n) / nu.
 
-@dataclass(frozen=True)
-class ThresholdSequence:
-    """Delay thresholds tau_n = (theta + 2 pi n)/nu, n = 0..n_max.
+        Undefined at r = 0, where nu = 0; only :meth:`tau_hat_n` survives
+        the limit.
+        """
+        if self.r == 0:
+            raise ValueError(
+                "thresholds in normalized time are undefined at r = 0; "
+                "only tau_hat_n = (theta + 2 pi n)/omega survives the limit"
+            )
+        return self._phase(n) / self.nu
 
-    ``taus`` are in normalized time, ``taus_hat = r * taus`` in the time of
-    the unnormalized model.  Consecutive entries differ by exactly 2 pi / nu.
-    """
+    def tau_hat_n(self, n: int) -> float:
+        """n-th delay threshold of the unnormalized model, (theta + 2 pi n)
+        / omega, which is r * tau_n up to rounding; defined at r = 0 too."""
+        return self._phase(n) / self.omega
 
-    taus: np.ndarray
-    taus_hat: np.ndarray
-    nu: float
-    omega: float
-    n_max: int
+    def _phase(self, n: int) -> float:
+        if n < 0:
+            raise ValueError(f"threshold index must be nonnegative, got {n}")
+        return self.theta + TWO_PI * n
 
 
 def solve_poisson_meanzero(
@@ -194,11 +183,14 @@ def solve_poisson_meanzero(
     return z
 
 
-def limit_hopf_data(coeffs: CoefficientField, grid: Grid1D) -> LimitHopfData:
-    """Closed-form r -> 0 crossing data for c0 > 2.
+def _limit_state(coeffs: CoefficientField, grid: Grid1D):
+    """Closed-form r -> 0 crossing (z, beta, omega, theta) for c0 > 2.
 
-    theta0 and omega0 depend only on c0 and mean(delta); the field z is the
-    unique mean-zero solution of the limiting eigenfunction equation.
+    theta0 and omega0 depend only on c0 and mean(delta), beta is 1, and the
+    field z is the unique mean-zero solution of the limiting eigenfunction
+    equation
+
+        Laplace(z) = -c0 f'(c0) p(x) e^{-i theta} + c0 delta(x) + i omega c0.
 
     Raises
     ------
@@ -220,9 +212,7 @@ def limit_hopf_data(coeffs: CoefficientField, grid: Grid1D) -> LimitHopfData:
     scale = c0 * float(
         np.abs(coeffs.p * fprime).max() + np.abs(coeffs.delta).max() + omega
     )
-    z = solve_poisson_meanzero(rhs, grid, scale=scale)
-    z.flags.writeable = False
-    return LimitHopfData(theta=theta, omega=omega, beta=1.0, z=z)
+    return solve_poisson_meanzero(rhs, grid, scale=scale), 1.0, omega, theta
 
 
 class _HopfNewtonFailure(RuntimeError):
@@ -386,26 +376,21 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray):
         theta += dtheta
 
 
-def continue_hopf(
-    model: ModelParams,
-    r_target: float,
-    r_cap: float = 0.5,
-) -> HopfSolution:
-    """Follow the imaginary-axis crossing from r = 0 to ``r_target``.
+def continue_hopf(model: ModelParams, r_cap: float = 0.5) -> HopfSolution:
+    """Follow the imaginary-axis crossing from r = 0 to the model's r.
 
-    Predictor-corrector continuation in max(1, ceil(r_target / 0.025))
-    equal steps: at each step the steady state is re-solved (warm started)
-    and the crossing system is Newton-corrected from the previous solution.
+    Predictor-corrector continuation in max(1, ceil(r / 0.025)) equal
+    steps: at each step the steady state is re-solved (warm started) and
+    the crossing system is Newton-corrected from the previous solution.
     The first step that fails ends the continuation; no step is retried.
-    ``r_target = 0`` returns the closed-form limit packaged as a
-    :class:`HopfSolution`.
+    At r = 0 the closed-form limit is returned, with the steady state u =
+    c0 of the averaged equation.
 
     Parameters
     ----------
     model : ModelParams
-        Supplies grid, coefficients and a; its own r is ignored.
-    r_target : float
-        Destination, 0 <= r_target <= r_cap.
+        Supplies grid, coefficients, a and the destination r, which must be
+        at most ``r_cap``.
     r_cap : float
         Guard rail for the validated small-r regime.  Raise it explicitly
         to explore further; expect stalls once eigenvalue crossings lose
@@ -419,21 +404,20 @@ def continue_hopf(
         At the first steady or Hopf Newton failure; carries ``last_good_r``.
     """
     coeffs = model.coeffs
-    grid = model.grid
-    if not 0 <= r_target <= r_cap:
+    r = model.r
+    if not r <= r_cap:
         raise ValueError(
-            f"r_target = {r_target:.6g} must be nonnegative and at most the "
-            f"working cap r_cap = {r_cap:.6g}; pass a larger r_cap explicitly "
-            "to go beyond the validated regime"
+            f"r = {r:.6g} must be at most the working cap r_cap = "
+            f"{r_cap:.6g}; pass a larger r_cap explicitly to go beyond the "
+            "validated regime"
         )
-    limit = limit_hopf_data(coeffs, grid)
-    state = (np.array(limit.z, dtype=complex), limit.beta, limit.omega, limit.theta)
-    u_prev = np.full(grid.n_points, coeffs.c0)
+    state = _limit_state(coeffs, model.grid)
+    u_prev = np.full(model.grid.n_points, coeffs.c0)
 
-    step = r_target / max(1, math.ceil(r_target / _CONTINUATION_STEP))
+    step = r / max(1, math.ceil(r / _CONTINUATION_STEP))
     r_current = 0.0
-    while r_current < r_target * (1.0 - 1e-15):
-        r_next = min(r_current + step, r_target)
+    while r_current < r * (1.0 - 1e-15):
+        r_next = min(r_current + step, r)
         model_next = model.with_r(r_next)
         try:
             steady = solve_steady_state(model_next, u0=u_prev)
@@ -441,7 +425,7 @@ def continue_hopf(
         except (NewtonConvergenceError, _HopfNewtonFailure) as exc:
             solver = "steady" if isinstance(exc, NewtonConvergenceError) else "Hopf"
             raise ContinuationStallError(
-                f"continuation toward r = {r_target:.6g} failed at r = "
+                f"continuation toward r = {r:.6g} failed at r = "
                 f"{r_next:.6g} (last good r = {r_current:.6g}); {solver} "
                 f"Newton: {exc}",
                 last_good_r=r_current,
@@ -453,37 +437,15 @@ def continue_hopf(
     if beta < 0:
         beta, z = -beta, -z
     theta = theta % TWO_PI
-    model_final = model.with_r(r_target)
-    res = _hopf_residual((z, beta, omega, theta), model_final, u_prev)[1]
+    res = _hopf_residual((z, beta, omega, theta), model, u_prev)[1]
     return HopfSolution(
-        model=model_final,
+        model=model,
         u=u_prev,
         z=z,
         beta=beta,
         omega=omega,
         theta=theta,
         residual_norm=res,
-    )
-
-
-def hopf_thresholds(sol: HopfSolution, n_max: int = 3) -> ThresholdSequence:
-    """Delay thresholds tau_n = (theta + 2 pi n)/nu for n = 0..n_max.
-
-    Also reports the unnormalized thresholds tau_hat_n = r * tau_n, which
-    stay finite in the r -> 0 limit.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    if sol.r <= 0:
-        raise ValueError(
-            "thresholds in normalized time are undefined at r = 0; "
-            "only tau_hat = theta/omega survives the limit"
-        )
-    indices = np.arange(n_max + 1)
-    taus_hat = (sol.theta + TWO_PI * indices) / sol.omega
-    taus = taus_hat / sol.r
-    return ThresholdSequence(
-        taus=taus, taus_hat=taus_hat, nu=sol.nu, omega=sol.omega, n_max=n_max
     )
 
 
@@ -497,7 +459,7 @@ def nondegeneracy_integral(sol: HopfSolution, n: int = 0) -> complex:
     """
     grid = sol.model.grid
     coeffs = sol.model.coeffs
-    tau_hat_n = (sol.theta + TWO_PI * n) / sol.omega
+    tau_hat_n = sol.tau_hat_n(n)
     psi_sq = sol.psi * sol.psi
     weighted = grid.weights @ psi_sq
     delayed = grid.weights @ (coeffs.p * eval_nonlinearity(sol.u, order=1) * psi_sq)
@@ -572,13 +534,13 @@ def limit_transversality_real(
     return numerator / abs(limit_s) ** 2
 
 
-def write_hopf_csv(path, sol: HopfSolution, thresholds: ThresholdSequence) -> None:
-    """Dump a crossing: scalar block, then nodewise z and psi columns."""
+def write_hopf_csv(path, sol: HopfSolution, n_max: int) -> None:
+    """Dump a crossing: scalar block with the thresholds tau_k and
+    tau_hat_k for k = 0..n_max, then nodewise z and psi columns."""
     preamble = [("r", sol.r), ("d", sol.model.d), ("beta", sol.beta),
                 ("h", sol.omega), ("theta", sol.theta), ("nu", sol.nu)]
-    for k in range(thresholds.n_max + 1):
-        preamble += [(f"tau{k}", thresholds.taus[k]),
-                     (f"tau_hat{k}", thresholds.taus_hat[k])]
+    for k in range(n_max + 1):
+        preamble += [(f"tau{k}", sol.tau_n(k)), (f"tau_hat{k}", sol.tau_hat_n(k))]
     write_table(path, "x,Re z,Im z,Re psi,Im psi", [
         sol.model.grid.nodes, sol.z.real, sol.z.imag, sol.psi.real, sol.psi.imag,
     ], preamble=preamble)

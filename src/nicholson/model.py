@@ -243,12 +243,13 @@ class ModelParams:
     Parameters
     ----------
     r : float
-        Inverse diffusion rate, ``r = 1/d``.  Nonnegative; r = 0 is the
-        formal large-diffusion limit.
+        Inverse diffusion rate, ``r = 1/d``.  Nonnegative and finite; r = 0
+        is the formal large-diffusion limit.
     a : float
         Density scaling of the birth response in the unnormalized model.
     tau : float
-        Normalized delay.  The unnormalized delay is ``tau_hat = r * tau``.
+        Normalized delay, nonnegative and finite.  The unnormalized delay
+        is ``tau_hat = r * tau``.
     grid : Grid1D
     coeffs : CoefficientField
     """
@@ -260,12 +261,12 @@ class ModelParams:
     coeffs: CoefficientField
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"r must be nonnegative and finite, got {self.r}")
         if not 0 < self.a < math.inf:
             raise ValueError(f"a must be positive and finite, got {self.a}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
         if self.coeffs.p.size != self.grid.n_points:
             raise ValueError("coefficients were sampled on a different grid")
 

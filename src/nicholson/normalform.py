@@ -76,14 +76,6 @@ class NormalFormReport:
     zero_mode: np.ndarray
 
 
-def _tau_n(sol: HopfSolution, n: int) -> float:
-    if sol.r <= 0:
-        raise ValueError("normal-form data is defined along the branch for r > 0")
-    if n < 0:
-        raise ValueError(f"threshold index must be nonnegative, got {n}")
-    return (sol.theta + TWO_PI * n) / sol.nu
-
-
 def _delay_shift(model: ModelParams, u: np.ndarray, mu: complex, tau: float):
     """Diagonal r e^{-mu tau} p f'(u) - r delta - mu of the eigenvalue operator."""
     coeffs = model.coeffs
@@ -128,7 +120,7 @@ def second_harmonic_correction(sol: HopfSolution, n: int = 0) -> np.ndarray:
     as ``e^{-2 i nu tau_n} = e^{-2 i theta}``, the field does not depend on n.
     Small-r limit: the constant ``c0 * limit_second_harmonic_ratio(c0)``.
     """
-    tau_n = _tau_n(sol, n)
+    tau_n = sol.tau_n(n)
     coeffs = sol.model.coeffs
     rhs = coeffs.p * eval_nonlinearity(sol.u, order=2) * sol.psi**2
     return -sol.r * np.exp(-2j * sol.nu * tau_n) * _solve_shifted(
@@ -141,7 +133,7 @@ def zero_mode_correction(sol: HopfSolution, n: int = 0) -> np.ndarray:
     Solves the mu = 0 system against ``p f''(u_r) |psi|^2``: no delay factor,
     so no dependence on n.  The small-r limit is the constant c0 (c0 - 2).
     """
-    tau_n = _tau_n(sol, n)
+    tau_n = sol.tau_n(n)
     coeffs = sol.model.coeffs
     rhs = coeffs.p * eval_nonlinearity(sol.u, order=2) * np.abs(sol.psi) ** 2
     return -sol.r * _solve_shifted(sol, 0.0 + 0.0j, tau_n, rhs, "zero_mode_correction")
@@ -161,7 +153,7 @@ def normal_form_coefficients(
     normalization 1/S_n.  ``second_harmonic`` and ``zero_mode`` are computed
     on demand when not supplied.
     """
-    tau_n = _tau_n(sol, n)
+    tau_n = sol.tau_n(n)
     if second_harmonic is None:
         second_harmonic = second_harmonic_correction(sol, n)
     if zero_mode is None:
@@ -252,7 +244,7 @@ def normal_form_report(sol: HopfSolution, n: int = 0,
     ``second_harmonic`` and ``zero_mode`` are computed when not supplied;
     neither depends on n, so one report's fields serve every threshold.
     """
-    tau_n = _tau_n(sol, n)
+    tau_n = sol.tau_n(n)
     if second_harmonic is None:
         second_harmonic = second_harmonic_correction(sol, n)
     if zero_mode is None:
@@ -264,7 +256,7 @@ def normal_form_report(sol: HopfSolution, n: int = 0,
     return NormalFormReport(
         n=n,
         tau_n=tau_n,
-        tau_hat_n=sol.r * tau_n,
+        tau_hat_n=sol.tau_hat_n(n),
         g=g,
         c1=c1,
         dmu=dmu,

@@ -94,6 +94,6 @@ def fig2_branch(grid301):
     """Fig. 2 Hopf crossings at the three standard continuation targets."""
     model = figure_model("fig2", grid301, r=1.0)
     return {
-        r: continue_hopf(model.with_r(r), r)
+        r: continue_hopf(model.with_r(r))
         for r in (1e-1, 1e-2, 1e-3)
     }

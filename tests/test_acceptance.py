@@ -18,8 +18,6 @@ from nicholson.cli import main, run_reproduce
 from nicholson.grid import Grid1D, spatial_average
 from nicholson.hopf import (
     continue_hopf,
-    hopf_thresholds,
-    limit_hopf_data,
     limit_phase,
     limit_transversality_real,
     transversality,
@@ -135,12 +133,8 @@ def test_criterion_2_figure_regimes(tmp_path):
 
 def test_criterion_3_closed_form_limits():
     grid = _grid()
-    coeffs = build_coefficients(
-        CoefficientSpec.constant(math.exp(3.0)),
-        CoefficientSpec.constant(1.0),
-        grid,
-    )
-    limit = limit_hopf_data(coeffs, grid)
+    limit = continue_hopf(_constant_model(3.0, grid, r=0.0))
+    coeffs = limit.model.coeffs
     theta_err = abs(limit.theta - 2.0 * math.pi / 3.0)
     omega_err = abs(limit.omega - math.sqrt(3.0))
     # compatibility forcing of the mean-zero correction equation
@@ -173,8 +167,8 @@ def test_criterion_4_scalar_oracle_equivalence():
     start = time.perf_counter()
     grid = _grid()
     model = _constant_model(3.0, grid, r=1e-4)
-    sol = continue_hopf(model, 1e-4)
-    tau_hat_0 = hopf_thresholds(sol, n_max=0).taus_hat[0]
+    sol = continue_hopf(model)
+    tau_hat_0 = sol.tau_hat_n(0)
     brute = oracles.first_crossing_delay(1.0, 3.0)
     closed = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
     tau_rel = abs(tau_hat_0 - brute) / brute
@@ -201,10 +195,10 @@ def test_criterion_5_continuation_convergence_rate():
     start = time.perf_counter()
     grid = _grid()
     base = _model(FIG2_P, grid, r=1.0)
-    limit = limit_hopf_data(base.coeffs, grid)
+    limit = continue_hopf(base.with_r(0.0))
     errors = {"theta": [], "omega": [], "beta": []}
     for r in (1e-1, 1e-2, 1e-3):
-        sol = continue_hopf(base.with_r(r), r)
+        sol = continue_hopf(base.with_r(r))
         errors["theta"].append(abs(sol.theta - limit.theta))
         errors["omega"].append(abs(sol.omega - limit.omega))
         errors["beta"].append(abs(sol.beta - 1.0))
@@ -238,7 +232,7 @@ def test_criterion_6_normal_form_limit_agreement():
         base = delta_bar * math.exp(c0_target) - mean_sin
         model = _model(f"{base:.12g} + 1*sin(1*x + 0)", grid, r=1e-3)
         c0 = model.coeffs.c0
-        sol = continue_hopf(model, 1e-3)
+        sol = continue_hopf(model)
         report = normal_form_report(sol, 0)
         limit = limit_lyapunov_real(c0, 0)
         zero = zero_mode_correction(sol, 0)
@@ -269,7 +263,7 @@ def test_criterion_7_transversality_limit():
     start = time.perf_counter()
     grid = _grid()
     model = _model(FIG2_P, grid, r=1e-3)
-    sol = continue_hopf(model, 1e-3)
+    sol = continue_hopf(model)
     scaled = transversality(sol, 0).real / sol.r**2
     limit = limit_transversality_real(model.coeffs, grid, 0)
     rel = abs(scaled - limit) / abs(limit)
@@ -286,8 +280,8 @@ def test_criterion_8_spectrum_vs_simulation():
     start = time.perf_counter()
     grid = _grid()
     base = _model(FIG2_P, grid, r=1e-2)
-    sol = continue_hopf(base, 1e-2)
-    tau_hat_0 = hopf_thresholds(sol, n_max=0).taus_hat[0]
+    sol = continue_hopf(base)
+    tau_hat_0 = sol.tau_hat_n(0)
     linear_period = 2.0 * math.pi * sol.r / sol.nu
     eps = 0.05 * tau_hat_0
 

@@ -328,7 +328,7 @@ class TestTaskRuns:
         # thresholds factors each shifted matrix once and writes the same
         # table as three independent reports
         config = load_config(fig2_config)
-        sol = continue_hopf(config.model, config.model.r)
+        sol = continue_hopf(config.model)
         reference = tmp_path / "reference.csv"
         write_normalform_csv(reference, sol,
                              [normal_form_report(sol, n) for n in range(3)])
@@ -485,6 +485,57 @@ class TestTaskRuns:
         assert (out / "trace_tau2.csv").exists()
 
 
+def read_table(path, skip=0) -> list:
+    """Rows of a CSV file after ``skip`` preamble lines, as header dicts."""
+    header, *rows = path.read_text().splitlines()[skip:]
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+class TestOneLadder:
+    # benchmark seed 15 at n = 201 is a crossing where r * tau_0 and
+    # tau_hat_0 round to different 12th digits
+    @pytest.mark.parametrize("p, delta, n_points", [
+        pytest.param("30 + 1*sin(1*x + 0)", "2 + 1*cos(0.2*x + 0)", 301,
+                     id="fig2"),
+        pytest.param("30 + 1*sin(1*x + 6.064795)",
+                     "2 + 0.511655*cos(0.2*x + 0)", 201, id="seed15"),
+    ])
+    def test_every_output_prints_one_ladder(self, tmp_path, fig2_config, p,
+                                            delta, n_points):
+        settings = [f"model.p={p}", f"model.delta={delta}",
+                    f"model.n_points={n_points}"]
+        outs = {}
+        for task, option in (("hopf", "task.n_max=3"),
+                             ("normalform", "task.n_max=3"),
+                             ("sweep", "task.r_list=0.01")):
+            code, outs[task] = run_with(tmp_path / task, task,
+                                        settings + [option], fig2_config)
+            assert code == 0
+        hopf_csv = dict(line.split(",") for line in
+                        (outs["hopf"] / "hopf.csv").read_text().splitlines()[:14])
+        hopf_summary = read_summary(outs["hopf"])
+        nf_rows = read_table(outs["normalform"] / "normalform.csv")
+        nf_summary = read_summary(outs["normalform"])
+        sweep_row = read_table(outs["sweep"] / "sweep.csv")[0]
+        for k in range(4):
+            tau_hat = {hopf_csv[f"tau_hat{k}"], hopf_summary[f"tau_hat_{k}"],
+                       nf_rows[k]["tau_hat_n"], nf_summary[f"n{k}_tau_hat"]}
+            tau = {hopf_csv[f"tau{k}"], nf_rows[k]["tau_n"]}
+            if k == 0:
+                tau_hat.add(sweep_row["tau_hat0"])
+                tau.add(sweep_row["tau0"])
+            assert len(tau_hat) == 1 and len(tau) == 1, (k, tau_hat, tau)
+        if n_points == 201:
+            assert hopf_summary["tau_hat_0"] == "0.813365167008"
+
+        config = load_config(fig2_config, overrides=parse_overrides(settings))
+        sol = continue_hopf(config.model)
+        for n in range(4):
+            report = normal_form_report(sol, n)
+            assert report.tau_n == sol.tau_n(n)
+            assert report.tau_hat_n == sol.tau_hat_n(n)
+
+
 class TestDeterminism:
     def test_reruns_byte_identical_up_to_timestamp(self, tmp_path,
                                                    fig2_config):
@@ -543,12 +594,18 @@ class TestExitCodes:
 
     def test_reproduce_rejects_a_two_point_grid(self, tmp_path, monkeypatch,
                                                 capsys):
+        # the grid is refused before the output directory exists; a zero
+        # grid is refused too, not read as the default
         monkeypatch.chdir(tmp_path)
-        code = main(["reproduce", "fig2", "--grid", "2"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: model grid: n_points must be")
-        assert "Traceback" not in err
+        for grid in ("2", "0"):
+            code = main(["reproduce", "fig2", "--grid", grid, "--out", "DIR"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"config error: model grid: n_points must be at least 3, got {grid}")
+            assert "Traceback" not in err
+            assert not (tmp_path / "DIR").exists()
+            assert list(tmp_path.iterdir()) == []
 
     def test_unallocatable_trace_is_config_error(self, tmp_path, fig2_config,
                                                  capsys):
@@ -893,6 +950,18 @@ class TestModelValues:
         assert code == 1
         err = capsys.readouterr().err
         assert f"config error: model.{key} must be finite" in err
+        assert not out.exists()
+
+    def test_delay_that_overflows_is_config_error(self, tmp_path, fig2_config,
+                                                  no_solver, capsys):
+        # tau = tau_hat / r is refused by name, before the model is built
+        code, out = run_with(tmp_path, "steady",
+                             ["model.r=1e-10", "model.tau_hat=1e300"],
+                             fig2_config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: delay must be nonnegative and finite, "
+                       "got tau = inf\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e200", "1e-200"])

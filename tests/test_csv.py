@@ -8,6 +8,7 @@ subnormals, huge values, nan and infinities.  The last class checks the
 writer signature that ``perfbench/tracer.py`` relies on.
 """
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -23,9 +24,7 @@ from nicholson import (
     NormalFormReport,
     SimulationTrace,
     SteadyState,
-    ThresholdSequence,
-    hopf_thresholds,
-    limit_hopf_data,
+    continue_hopf,
     limit_lyapunov_real,
     limit_nondegeneracy_integral,
     limit_transversality_real,
@@ -81,7 +80,7 @@ def reference_spacetime(path, grid, trace):
                 handle.write(f"{t:.12g},{x:.12g},{value:.12g}\n")
 
 
-def reference_hopf(path, sol, thresholds):
+def reference_hopf(path, sol, n_max):
     grid = sol.model.grid
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"r,{sol.r:.12g}\n")
@@ -90,9 +89,9 @@ def reference_hopf(path, sol, thresholds):
         handle.write(f"h,{sol.omega:.12g}\n")
         handle.write(f"theta,{sol.theta:.12g}\n")
         handle.write(f"nu,{sol.nu:.12g}\n")
-        for k in range(thresholds.n_max + 1):
-            handle.write(f"tau{k},{thresholds.taus[k]:.12g}\n")
-            handle.write(f"tau_hat{k},{thresholds.taus_hat[k]:.12g}\n")
+        for k in range(n_max + 1):
+            handle.write(f"tau{k},{sol.tau_n(k):.12g}\n")
+            handle.write(f"tau_hat{k},{sol.tau_hat_n(k):.12g}\n")
         handle.write("x,Re z,Im z,Re psi,Im psi\n")
         for x, z_val, psi_val in zip(grid.nodes, sol.z, sol.psi):
             handle.write(
@@ -140,7 +139,7 @@ def reference_sweep(path, model, cells_by_r, r_list):
             empty = [f"{r:.12g}", f"{1.0 / r:.12g}"] + [""] * 9 + ["STALL"]
             rows.append(",".join(empty))
     coeffs = model.coeffs
-    limit = limit_hopf_data(coeffs, model.grid)
+    limit = continue_hopf(model.with_r(0.0))
     tau_hat0 = limit.theta / limit.omega
     integral = limit_nondegeneracy_integral(coeffs.c0, model.grid.length, 0)
     crossing = limit_transversality_real(coeffs, model.grid, 0)
@@ -197,8 +196,7 @@ class TestRealOutput:
 
     def test_hopf(self, tmp_path, fig2_branch):
         sol = fig2_branch[1e-2]
-        assert_same_bytes(tmp_path, write_hopf_csv, reference_hopf,
-                          sol, hopf_thresholds(sol, n_max=3))
+        assert_same_bytes(tmp_path, write_hopf_csv, reference_hopf, sol, 3)
 
     def test_normalform(self, tmp_path, fig2_branch):
         sol = fig2_branch[1e-2]
@@ -246,13 +244,19 @@ class TestBlocks:
                           wide_grid, trace)
 
     def test_hopf(self, tmp_path, wide_sol):
-        taus = np.array([math.inf, 1e16, -0.0, 5e-324])
-        thresholds = ThresholdSequence(
-            taus=taus, taus_hat=1e-2 * taus, nu=wide_sol.nu, omega=1e-300,
-            n_max=len(taus) - 1,
-        )
-        assert_same_bytes(tmp_path, write_hopf_csv, reference_hopf,
-                          wide_sol, thresholds)
+        # (theta, omega) whose ladders (theta + 2 pi k) / omega and
+        # / (r omega), r = 1e-2, hold nan; inf; 1e16 and 1e18; -0.0 at
+        # k = 0; and subnormals at k = 0
+        cells = set()
+        for theta, omega in ((math.nan, 1e-300), (math.inf, 1.0),
+                             (1.0, 1e-16), (0.0, -1.0), (5e-324, 1.0)):
+            with np.errstate(invalid="ignore"):  # psi meets inf, as above
+                sol = dataclasses.replace(wide_sol, theta=theta, omega=omega)
+            assert_same_bytes(tmp_path, write_hopf_csv, reference_hopf, sol, 3)
+            cells.update((tmp_path / "table.csv").read_text().splitlines()[6:14])
+        assert {"tau0,nan", "tau_hat0,inf", "tau_hat0,1e+16", "tau0,1e+18",
+                "tau0,-0", "tau_hat0,-0", "tau_hat0,4.94065645841e-324",
+                "tau0,4.94065645841e-322"} <= cells
 
     def test_normalform(self, tmp_path, wide_sol):
         parts = [awkward(ROWS, seed) for seed in range(10, 23)]

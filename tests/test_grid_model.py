@@ -74,6 +74,17 @@ class TestGrid:
             with pytest.raises(ValueError):
                 diagonal[0] = 1.0
 
+    def test_grids_compare_and_hash_by_value(self):
+        # the derived arrays do not take part: two builds of one grid are
+        # equal, usable as dictionary keys, and other sizes differ
+        grid = Grid1D(3.0, 5)
+        assert grid == Grid1D(length=3.0, n_points=5)
+        assert hash(grid) == hash(Grid1D(3.0, 5))
+        assert {grid: "a"}[Grid1D(3.0, 5)] == "a"
+        assert grid != Grid1D(3.0, 6)
+        assert grid != Grid1D(3.5, 5)
+        assert len({grid, Grid1D(3.0, 5), Grid1D(3.0, 6)}) == 2
+
     @pytest.mark.parametrize("length", [1e-150, 0.7, 3.0, math.pi, 1e150])
     @pytest.mark.parametrize("n", [3, 301, 4801])
     def test_symmetrizer_is_weights_over_spacing(self, length, n):
@@ -250,3 +261,16 @@ class TestModelParams:
         with pytest.raises(ValueError, match="a must be positive and finite"):
             ModelParams(r=1.0, a=a, tau=0.0, grid=grid301,
                         coeffs=fig2_model.coeffs)
+
+    @pytest.mark.parametrize("key", ["r", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_r_and_tau(self, fig2_model, key, value):
+        # a NaN r would otherwise reach the steady Newton and stall there
+        changes = {"r": value} if key == "r" else {"r": 1.0, "tau": value}
+        with pytest.raises(ValueError,
+                           match=f"^{key} must be nonnegative and finite"):
+            fig2_model.with_r(**changes)
+
+    def test_zero_r_and_tau_are_accepted(self, fig2_model):
+        model = fig2_model.with_r(0.0, tau=0.0)
+        assert (model.r, model.tau, model.d) == (0.0, 0.0, math.inf)

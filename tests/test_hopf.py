@@ -14,8 +14,6 @@ from nicholson.hopf import (
     NoHopfError,
     SolvabilityError,
     continue_hopf,
-    hopf_thresholds,
-    limit_hopf_data,
     limit_nondegeneracy_integral,
     limit_phase,
     limit_transversality_real,
@@ -90,7 +88,7 @@ class TestMeanZeroPoisson:
         assert np.abs(z).max() < 1e-12
 
     def test_limit_eigenfield_is_mean_zero(self, fig2_model):
-        limit = limit_hopf_data(fig2_model.coeffs, fig2_model.grid)
+        limit = continue_hopf(fig2_model.with_r(0.0))
         grid = fig2_model.grid
         scale = np.abs(limit.z).max()
         assert abs(grid.integrate(limit.z)) < 1e-10 * max(scale, 1.0)
@@ -168,7 +166,7 @@ class TestBorderedSolve:
                 hopf_module, "_bordered_solve",
                 lambda *args, into=systems: into.append(args) or real_solve(*args))
             grid = Grid1D(length=3.0, n_points=n)
-            continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+            continue_hopf(figure_model("fig2", grid, r=1e-2))
         poisson, *newton = recorded[41]
         assert len(newton) >= 2
         for args in (poisson, newton[0], newton[-1], *recorded[3]):
@@ -200,7 +198,7 @@ class TestBorderedSolve:
 
 class TestContinuation:
     def test_r_zero_returns_limit(self, fig2_model):
-        sol = continue_hopf(fig2_model.with_r(1.0), 0.0)
+        sol = continue_hopf(fig2_model.with_r(0.0))
         assert sol.r == 0.0
         assert sol.beta == 1.0
         assert sol.theta == pytest.approx(limit_phase(fig2_model.coeffs.c0),
@@ -242,20 +240,24 @@ class TestContinuation:
         assert 80.0 < beta_ratio < 120.0
 
     def test_rejects_bad_targets(self, fig2_model):
+        # a negative r is refused by the model itself, before any solve
         with pytest.raises(ValueError, match="negative"):
-            continue_hopf(fig2_model, -0.1)
+            continue_hopf(fig2_model.with_r(-0.1))
         with pytest.raises(ValueError, match="r_cap"):
-            continue_hopf(fig2_model, 2.0)
+            continue_hopf(fig2_model.with_r(2.0))
 
-    @pytest.mark.parametrize("r_target, r_cap", [(math.nan, 0.5),
-                                                  (0.01, math.nan)])
-    def test_rejects_nan(self, fig2_model, r_target, r_cap):
-        with pytest.raises(ValueError, match="r_cap"):
-            continue_hopf(fig2_model, r_target, r_cap=r_cap)
+    @pytest.mark.parametrize("r_target, r_cap, message", [
+        pytest.param(math.nan, 0.5, "r must be nonnegative and finite",
+                     id="nan-0.5"),
+        pytest.param(0.01, math.nan, "r_cap", id="0.01-nan"),
+    ])
+    def test_rejects_nan(self, fig2_model, r_target, r_cap, message):
+        with pytest.raises(ValueError, match=message):
+            continue_hopf(fig2_model.with_r(r_target), r_cap=r_cap)
 
     def test_no_hopf_for_fig1(self, fig1_model):
         with pytest.raises(NoHopfError):
-            continue_hopf(fig1_model.with_r(1e-2), 1e-2)
+            continue_hopf(fig1_model.with_r(1e-2))
 
 
 class TestStoppingRule:
@@ -270,7 +272,7 @@ class TestStoppingRule:
         for n in (201, 601, 1201, 4801):
             solves.clear()
             grid = Grid1D(length=3.0, n_points=n)
-            sol = continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+            sol = continue_hopf(figure_model("fig2", grid, r=1e-2))
             counts[n] = len(solves) - 1  # less the Poisson solve of the limit
             assert sol.residual_norm < 1e-9
         assert len(set(counts.values())) == 1, counts
@@ -283,7 +285,7 @@ class TestStoppingRule:
         values = []
         for n in (301, 601, 1201, 2401, 4801):
             grid = Grid1D(length=3.0, n_points=n)
-            sol = continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+            sol = continue_hopf(figure_model("fig2", grid, r=1e-2))
             values.append((sol.theta, sol.omega))
         diffs = np.diff(np.array(values), axis=0)
         ratios = diffs[:-1] / diffs[1:]
@@ -307,7 +309,7 @@ class TestStoppingRule:
         monkeypatch.setattr(hopf_module, "_hopf_newton", failing)
         grid = Grid1D(length=3.0, n_points=4801)
         with pytest.raises(hopf_module.ContinuationStallError) as info:
-            continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+            continue_hopf(figure_model("fig2", grid, r=1e-2))
         error = info.value
         assert error.last_good_r == 0.0
         message = str(error)
@@ -330,7 +332,7 @@ class TestStoppingRule:
             return real_steady(model, *args, **kwargs)
 
         monkeypatch.setattr(hopf_module, "solve_steady_state", steady)
-        continue_hopf(fig2_model, r_target)
+        continue_hopf(fig2_model.with_r(r_target))
         assert seen == pytest.approx(visited, rel=1e-15)
 
 
@@ -339,11 +341,10 @@ class TestCharacteristicOperator:
         # psi must solve the characteristic system at mu = i nu for every
         # threshold index, since the delay enters only through the phase
         sol = fig2_branch[1e-2]
-        thresholds = hopf_thresholds(sol, n_max=3)
         scale = np.abs(sol.psi).max()
-        for tau_n in thresholds.taus:
+        for n in range(4):
             residual = characteristic_matrix(
-                sol.model, sol.u, 1j * sol.nu, tau_n
+                sol.model, sol.u, 1j * sol.nu, sol.tau_n(n)
             ) @ sol.psi
             assert np.abs(residual).max() < 1e-8 * scale
 
@@ -351,19 +352,35 @@ class TestCharacteristicOperator:
 class TestThresholds:
     def test_gaps_are_exact_periods(self, fig2_branch):
         sol = fig2_branch[1e-3]
-        thresholds = hopf_thresholds(sol, n_max=4)
-        gaps_hat = np.diff(thresholds.taus_hat)
-        assert np.allclose(gaps_hat, TWO_PI / sol.omega, rtol=1e-12)
-        assert np.allclose(
-            thresholds.taus, np.asarray(thresholds.taus_hat) / sol.r,
-            rtol=1e-12,
-        )
+        taus = np.array([sol.tau_n(n) for n in range(5)])
+        taus_hat = np.array([sol.tau_hat_n(n) for n in range(5)])
+        assert np.allclose(np.diff(taus_hat), TWO_PI / sol.omega, rtol=1e-12)
+        assert np.allclose(taus, taus_hat / sol.r, rtol=1e-12)
 
     def test_first_threshold_matches_reference(self, fig2_branch):
         # reference value tau_hat_0 ~ 0.912 at the r -> 0 limit
         sol = fig2_branch[1e-3]
-        thresholds = hopf_thresholds(sol, n_max=0)
-        assert thresholds.taus_hat[0] == pytest.approx(0.912, abs=1e-3)
+        assert sol.tau_hat_n(0) == pytest.approx(0.912, abs=1e-3)
+
+    def test_ladder_formulas(self, fig2_branch):
+        # the two rungs are the phase over nu and over omega, bit for bit
+        sol = fig2_branch[1e-2]
+        for n in range(4):
+            assert sol.tau_n(n) == (sol.theta + TWO_PI * n) / sol.nu
+            assert sol.tau_hat_n(n) == (sol.theta + TWO_PI * n) / sol.omega
+
+    def test_limit_keeps_only_the_unnormalized_ladder(self, fig2_model):
+        limit = continue_hopf(fig2_model.with_r(0.0))
+        c0 = fig2_model.coeffs.c0
+        omega0 = fig2_model.coeffs.delta_bar * math.sqrt(c0 * c0 - 2.0 * c0)
+        assert limit.tau_hat_n(0) == limit_phase(c0) / omega0
+        with pytest.raises(ValueError, match="undefined at r = 0"):
+            limit.tau_n(0)
+
+    @pytest.mark.parametrize("method", ["tau_n", "tau_hat_n"])
+    def test_negative_index_refused(self, fig2_branch, method):
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            getattr(fig2_branch[1e-2], method)(-1)
 
 
 class TestNondegeneracyIntegral:
@@ -406,7 +423,7 @@ class TestTransversality:
         # where the crossing speed can be tracked by brute force
         grid = Grid1D(length=3.0, n_points=201)
         model = constant_model(3.0, grid, r=1e-2)
-        sol = continue_hopf(model, 1e-2)
+        sol = continue_hopf(model)
         scaled = transversality(sol, 0).real / sol.r**2
         tau0 = TWO_PI / (3.0 * math.sqrt(3.0))
         oracle_speed = oracles.scalar_normal_form(
@@ -418,9 +435,8 @@ class TestTransversality:
 class TestHopfCsv:
     def test_layout(self, tmp_path, fig2_branch):
         sol = fig2_branch[1e-2]
-        thresholds = hopf_thresholds(sol, n_max=2)
         path = tmp_path / "hopf.csv"
-        write_hopf_csv(path, sol, thresholds)
+        write_hopf_csv(path, sol, 2)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("r,")
         header_idx = next(

@@ -52,7 +52,7 @@ def constant_crossing():
     """c0 = 3, delta = 1 constants at a deliberately non-small r."""
     grid = Grid1D(length=3.0, n_points=201)
     model = constant_model(3.0, grid, r=0.2)
-    return continue_hopf(model, 0.2)
+    return continue_hopf(model)
 
 
 class TestConstantCoefficientExactness:
@@ -80,9 +80,7 @@ class TestConstantCoefficientExactness:
         # for a real eigenfunction the three quadratic terms differ only by
         # the delay phase
         g = normal_form_coefficients(constant_crossing, 0)
-        phase = constant_crossing.nu * (
-            constant_crossing.theta / constant_crossing.nu
-        )
+        phase = constant_crossing.nu * constant_crossing.tau_n(0)
         assert g.g20 == pytest.approx(g.g11 * np.exp(-2j * phase), rel=1e-10)
         assert g.g02 == pytest.approx(g.g11 * np.exp(2j * phase), rel=1e-10)
 
@@ -227,7 +225,7 @@ class TestHeterogeneousSmallR:
         for n in (151, 301, 601, 1201):
             grid = Grid1D(length=FIG_LENGTH, n_points=n)
             report = normal_form_report(
-                continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2), 0)
+                continue_hopf(figure_model("fig2", grid, r=1e-2)), 0)
             values.append((report.c1.real, report.dmu.real))
         diffs = np.diff(np.array(values), axis=0)
         ratios = diffs[:-1] / diffs[1:]
@@ -348,8 +346,8 @@ def _crossing_systems(n_points):
     """
     model = figure_model("fig2", Grid1D(length=FIG_LENGTH, n_points=n_points),
                          r=1e-2)
-    sol = continue_hopf(model, 1e-2)
-    tau_0 = sol.theta / sol.nu
+    sol = continue_hopf(model)
+    tau_0 = sol.tau_n(0)
     pf2 = sol.model.coeffs.p * eval_nonlinearity(sol.u, order=2)
     for mu, rhs in ((2j * sol.nu, pf2 * sol.psi**2),
                     (0j, pf2 * np.abs(sol.psi) ** 2)):
@@ -377,10 +375,10 @@ class TestShiftedSolve:
         # LAPACK 1-norm estimate must stay within a small factor of it
         model = figure_model("fig2", Grid1D(length=FIG_LENGTH,
                                             n_points=n_points), r=1e-2)
-        sol = continue_hopf(model, 1e-2)
+        sol = continue_hopf(model)
         second_harmonic_correction(sol, 0)
         zero_mode_correction(sol, 0)
-        tau_0 = sol.theta / sol.nu
+        tau_0 = sol.tau_n(0)
         assert len(estimates) == 2
         for estimate, mu in zip(estimates, (2j * sol.nu, 0.0)):
             condition = np.linalg.cond(

@@ -78,7 +78,7 @@ class TestFactor:
         grid = Grid1D(length=3.0, n_points=n)
         lap = grid.laplacian
         if hopf:
-            sol = continue_hopf(figure_model("fig2", grid, r=1e-2), 1e-2)
+            sol = continue_hopf(figure_model("fig2", grid, r=1e-2))
             coeffs = sol.model.coeffs
             coupling = (np.exp(-1j * sol.theta) * coeffs.p
                         * eval_nonlinearity(sol.u, order=1)
