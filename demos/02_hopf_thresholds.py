@@ -2,11 +2,11 @@
 Delay thresholds for the onset of oscillation
 =============================================
 
-Runs the Hopf continuation from the large-diffusion limit down to finite
-r for the oscillatory coefficient family, prints the crossing data and
-the ladder of delay thresholds, and checks the convergence of the finite-r
-solution toward the closed-form r -> 0 limit, which is the same kind of
-crossing at r = 0.  Also shows the NoHopf
+Solves for the Hopf crossing at finite r, by one Newton solve from the
+large-diffusion limit, for the oscillatory coefficient family, prints the
+crossing data and the ladder of delay thresholds, and checks the
+convergence of the finite-r solution toward the closed-form r -> 0 limit,
+which is the same kind of crossing at r = 0.  Also shows the NoHopf
 verdict for a family with c0 < 2, where no threshold exists.
 """
 

@@ -29,7 +29,7 @@ from .steady import (
     write_steady_csv,
 )
 from .hopf import (
-    ContinuationStallError,
+    CrossingError,
     HopfSolution,
     NoHopfError,
     SimplicityWarning,
@@ -90,7 +90,7 @@ __all__ = [
     "solve_steady_state",
     "steady_residual",
     "write_steady_csv",
-    "ContinuationStallError",
+    "CrossingError",
     "HopfSolution",
     "NoHopfError",
     "SimplicityWarning",

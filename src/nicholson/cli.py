@@ -30,7 +30,7 @@ from .config import (
     parse_overrides,
 )
 from .hopf import (
-    ContinuationStallError,
+    CrossingError,
     NoHopfError,
     SolvabilityError,
     continue_hopf,
@@ -66,7 +66,7 @@ EXIT_BLOWUP = 3
 
 _SOLVER_ERRORS = (
     NewtonConvergenceError,
-    ContinuationStallError,
+    CrossingError,
     ResonanceError,
     SolvabilityError,
 )

@@ -260,12 +260,12 @@ def _task_options(task: str, table: dict, model: ModelParams) -> dict:
             options[key] = _read(table[key], f"task.{key}", *rule)
         elif default is not _REQUIRED:
             options[key] = default(model) if callable(default) else default
-    # hopf and normalform continue to model.r, sweep to each r of its list
+    # hopf and normalform solve at model.r, sweep at each r of its list
     name, targets = (("task.r_list entry", options.get("r_list", []))
                      if task == "sweep" else ("model.r =", [model.r]))
     if max(targets, default=0) > options.get("r_cap", math.inf):
         raise ConfigError(
-            f"{name} {max(targets):.6g} exceeds the continuation cap "
+            f"{name} {max(targets):.6g} exceeds the working cap "
             f"{options['r_cap']:.6g}; the asymptotic theory degrades away "
             "from r = 0. Set task.r_cap to opt in explicitly."
         )

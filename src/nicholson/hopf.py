@@ -9,8 +9,9 @@ psi = beta*c0 + r*z into its mean and a mean-zero field z, to the system
     g2 = (beta^2 - 1) c0^2 |Omega| + r^2 ||z||^2 = 0,
 
 with z of zero quadrature mean.  At r = 0 the system has a closed-form
-solution; :func:`continue_hopf` follows it to the model's r by a
-predictor-corrector Newton continuation.  The resulting
+solution, and the crossing is a smooth function of r from it (the
+large-diffusion theorem), so :func:`continue_hopf` reaches the model's r by
+one Newton solve started at that limit.  The resulting
 :class:`HopfSolution` is the crossing at every r, the limit included, and
 yields the countable family of delay thresholds
 
@@ -36,8 +37,7 @@ from .steady import NewtonConvergenceError, solve_steady_state
 from .table import write_table
 
 TWO_PI = 2.0 * math.pi
-_CONTINUATION_STEP = 0.025  # largest step in r of continue_hopf
-_MAX_ITERATIONS = 30  # Newton steps per continuation step
+_MAX_ITERATIONS = 30  # Newton steps of one crossing solve
 _EPS = float(np.finfo(float).eps)
 
 
@@ -49,16 +49,14 @@ class SolvabilityError(ValueError):
     """Right-hand side is not orthogonal to constants within tolerance."""
 
 
-class ContinuationStallError(RuntimeError):
-    """Continuation could not advance past ``last_good_r``.
+class CrossingError(RuntimeError):
+    """The crossing could not be solved for.
 
-    The message names the r that failed, the solver (steady or Hopf Newton)
-    and its own text; the solver's exception is chained as ``__cause__``.
+    Raised by the Hopf Newton solve and its bordered linear solves; from
+    :func:`continue_hopf` the message names r, the solver that failed
+    (steady or Hopf Newton) and its own text, with the solver's exception
+    chained as ``__cause__``.
     """
-
-    def __init__(self, message: str, last_good_r: float):
-        super().__init__(message)
-        self.last_good_r = last_good_r
 
 
 class SimplicityWarning(UserWarning):
@@ -163,6 +161,9 @@ def solve_poisson_meanzero(
     ------
     SolvabilityError
         If the quadrature mean of rhs exceeds its roundoff bound.
+    CrossingError
+        If the bordered factor meets an exactly zero pivot, which the
+        nonsingular Poisson core rules out.
     """
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.size != grid.n_points:
@@ -215,10 +216,6 @@ def _limit_state(coeffs: CoefficientField, grid: Grid1D):
     return solve_poisson_meanzero(rhs, grid, scale=scale), 1.0, omega, theta
 
 
-class _HopfNewtonFailure(RuntimeError):
-    pass
-
-
 _DEFLATED_NODE = 1  # k of the rank-one deflation; interior on every grid
 
 
@@ -255,7 +252,7 @@ def _bordered_solve(grid: Grid1D, shift, cols, rows, corner,
 
     Raises
     ------
-    _HopfNewtonFailure
+    CrossingError
         If T has an exactly zero pivot or the reduced system is singular.
     """
     k = _DEFLATED_NODE
@@ -264,7 +261,7 @@ def _bordered_solve(grid: Grid1D, shift, cols, rows, corner,
     try:
         solve = grid.laplacian.factor(shift + deflation)
     except np.linalg.LinAlgError as exc:
-        raise _HopfNewtonFailure(str(exc)) from None
+        raise CrossingError(str(exc)) from None
     solved = solve(np.column_stack([g, deflation, *cols]))[0]
     base = solved[:, 0]
     # z = base + basis @ (Re t, Im t, p)
@@ -280,7 +277,7 @@ def _bordered_solve(grid: Grid1D, shift, cols, rows, corner,
             np.concatenate([[-base[k].real, -base[k].imag], h - (rows @ base).real]),
         )
     except np.linalg.LinAlgError:
-        raise _HopfNewtonFailure("the reduced bordered system is singular") from None
+        raise CrossingError("the reduced bordered system is singular") from None
     return base + basis @ unknowns, unknowns[2:]
 
 
@@ -349,12 +346,12 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray):
         if ratio <= 2.0 or 0.5 * previous < ratio <= 100.0:
             return state, res_norm
         if iteration == _MAX_ITERATIONS:
-            raise _HopfNewtonFailure(
+            raise CrossingError(
                 f"no convergence in {_MAX_ITERATIONS} iterations, residual "
                 f"{res_norm:.3e} ({ratio / 2.0:.3g} x its roundoff floor)"
             )
         if res_norm > 1e4 * max(best, 1.0):
-            raise _HopfNewtonFailure(f"diverging, residual {res_norm:.3e}")
+            raise CrossingError(f"diverging, residual {res_norm:.3e}")
         best = min(best, res_norm)
         previous = ratio
 
@@ -377,31 +374,34 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray):
 
 
 def continue_hopf(model: ModelParams, r_cap: float = 0.5) -> HopfSolution:
-    """Follow the imaginary-axis crossing from r = 0 to the model's r.
+    """The imaginary-axis crossing at the model's r.
 
-    Predictor-corrector continuation in max(1, ceil(r / 0.025)) equal
-    steps: at each step the steady state is re-solved (warm started) and
-    the crossing system is Newton-corrected from the previous solution.
-    The first step that fails ends the continuation; no step is retried.
-    At r = 0 the closed-form limit is returned, with the steady state u =
-    c0 of the averaged equation.
+    At r > 0 the steady state is solved from the constant c0, and the
+    crossing system is Newton-corrected from the closed-form r = 0 limit
+    in one solve; neither solve is retried.  At r = 0 the limit itself is
+    returned, with the steady state u = c0 of the averaged equation.
+
+    The system is unchanged by (z, beta) -> (-z, -beta) and by the
+    conjugation (z, omega, theta) -> (conj z, -omega, -theta), so the
+    returned crossing is the one with beta > 0, omega > 0 and theta in
+    [0, 2 pi), whose delay thresholds are positive.
 
     Parameters
     ----------
     model : ModelParams
-        Supplies grid, coefficients, a and the destination r, which must be
-        at most ``r_cap``.
+        Supplies grid, coefficients, a and r, which must be at most
+        ``r_cap``.
     r_cap : float
         Guard rail for the validated small-r regime.  Raise it explicitly
-        to explore further; expect stalls once eigenvalue crossings lose
+        to explore further; expect failures once eigenvalue crossings lose
         simplicity.
 
     Raises
     ------
     NoHopfError
         If c0 <= 2.
-    ContinuationStallError
-        At the first steady or Hopf Newton failure; carries ``last_good_r``.
+    CrossingError
+        If the steady or the Hopf Newton solve fails.
     """
     coeffs = model.coeffs
     r = model.r
@@ -412,35 +412,27 @@ def continue_hopf(model: ModelParams, r_cap: float = 0.5) -> HopfSolution:
             "validated regime"
         )
     state = _limit_state(coeffs, model.grid)
-    u_prev = np.full(model.grid.n_points, coeffs.c0)
-
-    step = r / max(1, math.ceil(r / _CONTINUATION_STEP))
-    r_current = 0.0
-    while r_current < r * (1.0 - 1e-15):
-        r_next = min(r_current + step, r)
-        model_next = model.with_r(r_next)
+    u = np.full(model.grid.n_points, coeffs.c0)
+    if r > 0:
         try:
-            steady = solve_steady_state(model_next, u0=u_prev)
-            state, _ = _hopf_newton(state, model_next, steady.u)
-        except (NewtonConvergenceError, _HopfNewtonFailure) as exc:
+            u = solve_steady_state(model).u
+            state, _ = _hopf_newton(state, model, u)
+        except (NewtonConvergenceError, CrossingError) as exc:
             solver = "steady" if isinstance(exc, NewtonConvergenceError) else "Hopf"
-            raise ContinuationStallError(
-                f"continuation toward r = {r:.6g} failed at r = "
-                f"{r_next:.6g} (last good r = {r_current:.6g}); {solver} "
-                f"Newton: {exc}",
-                last_good_r=r_current,
+            raise CrossingError(
+                f"crossing failed at r = {r:.6g}; {solver} Newton: {exc}"
             ) from exc
-        r_current = r_next
-        u_prev = steady.u
 
     z, beta, omega, theta = state
     if beta < 0:
         beta, z = -beta, -z
+    if omega < 0:
+        z, omega, theta = z.conj(), -omega, -theta
     theta = theta % TWO_PI
-    res = _hopf_residual((z, beta, omega, theta), model, u_prev)[1]
+    res = _hopf_residual((z, beta, omega, theta), model, u)[1]
     return HopfSolution(
         model=model,
-        u=u_prev,
+        u=u,
         z=z,
         beta=beta,
         omega=omega,

@@ -15,6 +15,11 @@ normal-form oracle follows the classic scalar Hassard recipe with the
 textbook q(0) = 1 eigenvector convention, so its coefficients relate to the
 package's (eigenfunction amplitude c0, time rescaled by the threshold) by
 the exact conversion C1_package = tau_check * c0^2 * C1_textbook.
+
+The last oracle, :func:`stepped_crossing`, is the exception: it reaches a
+crossing by walking in r from the r = 0 limit, as ``continue_hopf`` once
+did, built from the package's own steady and Hopf Newton solves.  It checks
+that the one-step solve lands on the root the walk follows.
 """
 
 from __future__ import annotations
@@ -22,6 +27,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+
+import numpy as np
+
+from nicholson.hopf import _hopf_newton, _limit_state
+from nicholson.steady import solve_steady_state
 
 
 def _char(lam: complex, tau: float, delta_bar: float, c0: float) -> complex:
@@ -142,3 +152,20 @@ def scalar_normal_form(p_bar: float, delta_bar: float, tau0: float,
         "second_harmonic": second, "zero_mode": zero,
         "c1": c1, "crossing_speed": speed,
     }
+
+
+def stepped_crossing(model, max_step: float = 0.025):
+    """Raw crossing (u, z, beta, omega, theta) at ``model.r`` by the r-walk.
+
+    Equal steps in r of at most ``max_step`` from the closed-form limit;
+    each step solves the steady state from the previous one and corrects
+    the crossing from the previous state.  No sign or phase normalization.
+    """
+    steps = max(1, math.ceil(model.r / max_step))
+    state = _limit_state(model.coeffs, model.grid)
+    u = np.full(model.grid.n_points, model.coeffs.c0)
+    for k in range(1, steps + 1):
+        stage = model.with_r(model.r * k / steps)
+        u = solve_steady_state(stage, u0=u).u
+        state, _ = _hopf_newton(state, stage, u)
+    return (u, *state)

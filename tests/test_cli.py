@@ -1,18 +1,24 @@
 """Command-line interface: config handling, tasks, exit codes, manifests."""
 
 import ast
+import contextlib
 import importlib.machinery
 import inspect
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nicholson import _lapack, cli, normalform
 from nicholson.cli import main
@@ -26,7 +32,7 @@ from nicholson.config import (
     task_keys,
 )
 from nicholson.hopf import (
-    ContinuationStallError,
+    CrossingError,
     NoHopfError,
     continue_hopf,
 )
@@ -422,8 +428,7 @@ class TestTaskRuns:
 
         def flaky(model, r, r_cap):
             if r == 0.05:
-                raise ContinuationStallError("forced stall for testing",
-                                             last_good_r=0.2)
+                raise CrossingError("forced stall for testing")
             return real_row(model, r, r_cap)
 
         monkeypatch.setattr(cli_module, "_sweep_row", flaky)
@@ -441,15 +446,15 @@ class TestTaskRuns:
 
     def test_sweep_real_stall_isolated_to_row(self, tmp_path, fig2_config,
                                               monkeypatch, capsys):
-        # the Hopf Newton itself fails past r = 0.05: the 0.1 row stalls
-        # at its third step, the rows that stay below run to the end
+        # the Hopf Newton itself fails past r = 0.05: the 0.1 row stalls,
+        # the rows at or below 0.05 run to the end
         import nicholson.hopf as hopf_module
 
         real_newton = hopf_module._hopf_newton
 
         def failing_above(state, model, u):
             if model.r > 0.05:
-                raise hopf_module._HopfNewtonFailure("forced failure")
+                raise hopf_module.CrossingError("forced failure")
             return real_newton(state, model, u)
 
         monkeypatch.setattr(hopf_module, "_hopf_newton", failing_above)
@@ -470,7 +475,7 @@ class TestTaskRuns:
         assert code == 2
         err = capsys.readouterr().err
         assert "hopf.continue_hopf" in err
-        assert "at r = 0.075" in err and "forced failure" in err
+        assert "at r = 0.1;" in err and "forced failure" in err
 
     def test_reproduce_small_grid(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -657,8 +662,7 @@ class TestExitCodes:
         import nicholson.cli as cli_module
 
         def stall(*args, **kwargs):
-            raise ContinuationStallError("forced stall for testing",
-                                         last_good_r=0.2)
+            raise CrossingError("forced stall for testing")
 
         monkeypatch.setattr(cli_module, "continue_hopf", stall)
         out = tmp_path / "stall"
@@ -839,6 +843,66 @@ TASK_BOUNDARIES = [
     ("average-dde", "history", "inf", False),
     ("average-dde", "history", "nan", False),
 ]
+
+
+# a config error names the key it refuses; a solver failure its label
+_NAMED_CAUSE = re.compile(r"^config error: .*\b(model|task)\.\w+"
+                          r"|^error: [a-z]+\.[a-z_]+: ")
+
+
+class TestExitCodeContract:
+    # the conjugate-root config of TestContinuation, at which hopf once
+    # exited 0 with negative thresholds
+    @example(task="hopf", n=3, length=92.86421458019495,
+             r=0.03952827666787632, log_ratio=math.log(27.962278844698346
+                                                       / 3.0065031363280004),
+             delta_base=3.0065031363280004,
+             amplitudes=(4.534752373366915 / 27.962278844698346,
+                         2.1039801771886157 / 3.0065031363280004),
+             waves=(3.1842066107488622, 1.0034166676397875),
+             phase=3.155185569431458)
+    @given(task=st.sampled_from(["hopf", "normalform", "sweep"]),
+           n=st.sampled_from([3, 4, 5, 11, 41]),
+           length=st.floats(math.log(0.1), math.log(100.0)).map(math.exp),
+           r=st.floats(math.log(1e-4), math.log(0.5)).map(math.exp),
+           log_ratio=st.floats(0.0, 5.0),
+           delta_base=st.floats(0.5, 5.0),
+           amplitudes=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+           waves=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+           phase=st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=150, deadline=None)
+    def test_every_exit_is_documented(self, task, n, length, r, log_ratio,
+                                      delta_base, amplitudes, waves, phase):
+        p_base = delta_base * math.exp(log_ratio)
+        overrides = [
+            f"model.length={length!r}", "model.a=2.5", f"model.r={r!r}",
+            f"model.n_points={n}",
+            f"model.p={p_base!r} + {amplitudes[0] * p_base!r}"
+            f"*sin({waves[0]!r}*x + {phase!r})",
+            f"model.delta={delta_base!r} + {amplitudes[1] * delta_base!r}"
+            f"*cos({waves[1]!r}*x + 0)",
+        ]
+        if task == "sweep":
+            overrides.append(f"task.r_list={r!r},{r / 10.0!r}")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            # Re C1 > 0 and a nearly degenerate crossing warn by design
+            warnings.simplefilter("ignore")
+            argv = [task, "--out", str(Path(tmp) / "out")]
+            for setting in overrides:
+                argv += ["--set", setting]
+            with (contextlib.redirect_stdout(stdout),
+                  contextlib.redirect_stderr(stderr)):
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and _NAMED_CAUSE.search(lines[0]), lines
+        elif task == "hopf":
+            thresholds = [float(line.split(" = ")[1])
+                          for line in stdout.getvalue().splitlines()
+                          if line.startswith("tau_hat_")]
+            assert all(tau > 0 for tau in thresholds), thresholds
 
 
 class TestTaskOptions:

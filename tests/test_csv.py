@@ -41,7 +41,7 @@ from nicholson import (
 )
 from nicholson.cli import _SWEEP_COLUMNS, main
 from nicholson.grid import Grid1D
-from nicholson.hopf import ContinuationStallError, HopfSolution
+from nicholson.hopf import CrossingError, HopfSolution
 from nicholson.table import BLOCK_ROWS
 
 from conftest import FIG2_P, FIG_DELTA, figure_model
@@ -318,7 +318,7 @@ class TestSweep:
 
         def row(model, r, r_cap):
             if r == 0.05:
-                raise ContinuationStallError("forced stall", last_good_r=0.1)
+                raise CrossingError("forced stall")
             return real_row(model, r, r_cap)
 
         ours, theirs = self.run_sweep(tmp_path, monkeypatch,
@@ -334,7 +334,7 @@ class TestSweep:
         def row(model, r, r_cap):
             k = index[r]
             if k % 7 == 3:
-                raise ContinuationStallError("forced stall", last_good_r=r)
+                raise CrossingError("forced stall")
             return (r, 1.0 / r, *(part[k] for part in parts), "OK")
 
         ours, theirs = self.run_sweep(tmp_path, monkeypatch, r_list, row)

@@ -1,4 +1,4 @@
-"""Hopf crossing solver: closed forms, continuation, thresholds, pairing."""
+"""Hopf crossing solver: closed forms, the crossing at r, thresholds, pairing."""
 
 import math
 
@@ -22,7 +22,7 @@ from nicholson.hopf import (
     transversality,
     write_hopf_csv,
 )
-from nicholson.model import CoefficientSpec, build_coefficients
+from nicholson.model import CoefficientSpec, ModelParams, build_coefficients
 from nicholson.steady import solve_steady_state
 
 from conftest import (
@@ -190,7 +190,7 @@ class TestBorderedSolve:
         cancel[1] = -grid.laplacian.main[1]
         for shift, cols in ((cancel, (ones, 1j * ones)),
                             (0j, (0 * ones, 0 * ones))):
-            with pytest.raises(hopf_module._HopfNewtonFailure, match="singular"):
+            with pytest.raises(hopf_module.CrossingError, match="singular"):
                 hopf_module._bordered_solve(
                     grid, shift, cols, (weights, 1j * weights), 0.0,
                     ones + 0j, np.zeros(2))
@@ -259,6 +259,53 @@ class TestContinuation:
         with pytest.raises(NoHopfError):
             continue_hopf(fig1_model.with_r(1e-2))
 
+    def test_conjugate_root_is_normalized(self):
+        # out of the small-r regime (r L^2 = 341) Newton from the limit
+        # lands on the conjugate root, omega < 0, whose ladder is negative
+        model = spec_model(
+            "27.962278844698346 + 4.534752373366915*sin(3.1842066107488622*x"
+            " + 3.155185569431458)",
+            "3.0065031363280004 + 2.1039801771886157*cos(1.0034166676397875*x"
+            " + 0)",
+            Grid1D(length=92.86421458019495, n_points=3), r=0.03952827666787632)
+        sol = continue_hopf(model)
+        assert sol.omega > 0 and sol.beta > 0 and 0 <= sol.theta < TWO_PI
+        assert all(sol.tau_hat_n(k) > 0 for k in range(4))
+        assert sol.tau_hat_n(0) == pytest.approx(0.884, abs=1e-3)
+        state = (sol.z, sol.beta, sol.omega, sol.theta)
+        assert hopf_module._hopf_residual(state, model, sol.u)[2] <= 100.0
+
+
+def spec_model(p: str, delta: str, grid: Grid1D, r: float) -> ModelParams:
+    coeffs = build_coefficients(CoefficientSpec.parse(p),
+                                CoefficientSpec.parse(delta), grid)
+    return ModelParams(r=r, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
+
+
+class TestStepReference:
+    # over 3,345 cases with r L^2 < 13 the walk in r that continue_hopf
+    # once made and its one solve from the limit agreed to 3.6e-13
+    # relative; 1e-11 leaves room for other BLAS builds' rounding
+    @pytest.mark.parametrize("p, delta", [
+        pytest.param("30 + 1*sin(1*x + 0)", "2 + 1*cos(0.2*x + 0)", id="fig2"),
+        pytest.param("30 + 1*sin(1*x + 0.844235)",
+                     "2 + 1.347434*cos(0.2*x + 0)", id="seed1"),
+        pytest.param("30 + 25*sin(3*x + 0)", "2 + 1.8*cos(2*x + 0)",
+                     id="strong"),
+    ])
+    def test_one_solve_matches_the_walk(self, p, delta):
+        model = spec_model(p, delta, Grid1D(length=3.0, n_points=201), r=0.5)
+        for r in (0.05, 0.1, 0.25, 0.5):
+            sol = continue_hopf(model.with_r(r))
+            u, z, beta, omega, theta = oracles.stepped_crossing(model.with_r(r))
+            assert beta > 0 and omega > 0
+            for ours, walked in ((sol.u, u), (sol.z, z)):
+                scale = np.abs(walked).max()
+                assert np.abs(ours - walked).max() <= 1e-11 * scale, r
+            for ours, walked in ((sol.beta, beta), (sol.omega, omega),
+                                 (sol.theta, theta % TWO_PI)):
+                assert ours == pytest.approx(walked, rel=1e-11, abs=0), r
+
 
 class TestStoppingRule:
     def test_newton_steps_do_not_grow_with_n(self, monkeypatch):
@@ -292,7 +339,7 @@ class TestStoppingRule:
         assert np.all((3.8 <= ratios) & (ratios <= 4.2)), ratios
 
     def test_stall_names_the_first_failure(self, monkeypatch):
-        # the first failed step raises: one steady solve and one Hopf
+        # a failed solve raises at once: one steady solve and one Hopf
         # Newton, even on the finest grid, and the message carries the cause
         calls = {"steady": 0, "hopf": 0}
         real_steady = hopf_module.solve_steady_state
@@ -303,37 +350,44 @@ class TestStoppingRule:
 
         def failing(state, model, u):
             calls["hopf"] += 1
-            raise hopf_module._HopfNewtonFailure(f"forced failure at {model.r:.6g}")
+            raise hopf_module.CrossingError(f"forced failure at {model.r:.6g}")
 
         monkeypatch.setattr(hopf_module, "solve_steady_state", steady)
         monkeypatch.setattr(hopf_module, "_hopf_newton", failing)
         grid = Grid1D(length=3.0, n_points=4801)
-        with pytest.raises(hopf_module.ContinuationStallError) as info:
+        with pytest.raises(hopf_module.CrossingError) as info:
             continue_hopf(figure_model("fig2", grid, r=1e-2))
         error = info.value
-        assert error.last_good_r == 0.0
         message = str(error)
         assert "at r = 0.01" in message
         assert "forced failure at 0.01" in message
-        assert isinstance(error.__cause__, hopf_module._HopfNewtonFailure)
+        assert isinstance(error.__cause__, hopf_module.CrossingError)
         assert calls == {"steady": 1, "hopf": 1}
 
     @pytest.mark.parametrize("r_target, visited", [
-        (0.1, [0.025, 0.05, 0.075, 0.1]),
+        (0.1, [0.1]),
         (0.01, [0.01]),
     ])
     def test_equal_steps(self, monkeypatch, fig2_model, r_target, visited):
-        # every run walks the same r values, so its outputs stay the same
-        seen = []
+        # one steady solve from c0 and one Hopf Newton from the r = 0
+        # limit, both at the target r, with no intermediate r
+        seen = {"steady": [], "hopf": []}
         real_steady = hopf_module.solve_steady_state
+        real_newton = hopf_module._hopf_newton
 
         def steady(model, *args, **kwargs):
-            seen.append(model.r)
+            seen["steady"].append((model.r, args, kwargs))
             return real_steady(model, *args, **kwargs)
 
+        def newton(state, model, u):
+            seen["hopf"].append(model.r)
+            return real_newton(state, model, u)
+
         monkeypatch.setattr(hopf_module, "solve_steady_state", steady)
+        monkeypatch.setattr(hopf_module, "_hopf_newton", newton)
         continue_hopf(fig2_model.with_r(r_target))
-        assert seen == pytest.approx(visited, rel=1e-15)
+        assert seen["steady"] == [(r, (), {}) for r in visited]
+        assert seen["hopf"] == visited
 
 
 class TestCharacteristicOperator:

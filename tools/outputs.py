@@ -17,7 +17,9 @@ read only:
   snapshots) and ``average-dde`` at 0, 0.95 and 1.05 ``tau_hat_0``, the
   threshold of that ``hopf`` run;
 - benchmark seeds 1 and 2: ``steady``, ``hopf`` and ``normalform`` at
-  n = 201, 1201 and 4801, and the benchmark's ``sweep``.
+  n = 201, 1201 and 4801, and the benchmark's ``sweep``;
+- fig. 2 and benchmark seed 1: ``hopf`` and ``normalform`` at r = 0.5 on
+  n = 1201, the largest r below the default ``r_cap``.
 
 ``diff`` compares every file of A with its namesake in B.  A file is
 byte-identical, or its numbers moved (the largest relative difference over
@@ -49,6 +51,8 @@ FIG2_R_LIST = "0.5,0.2,0.1,0.05,0.02,0.01,0.005,0.002,0.001"
 SIM_T_END = 400
 SEEDS = (1, 2)
 SEED_GRIDS = (201, 1201, 4801)
+LARGE_R = 0.5
+LARGE_R_GRID = 1201
 EXIT_CODES = "exit_codes.txt"
 
 # a number that is a whole token: not part of a name such as tau_hat0
@@ -108,6 +112,11 @@ def run(out_dir: Path, src: Path = ROOT / "src") -> int:
         once(f"seed{seed}-sweep", "sweep",
              workloads.config_text(coeffs, workloads.SWEEP_GRID, "sweep",
                                    r_list=r_list))
+    for name, coeffs in (("fig2", figure2), ("seed1", workloads.draw_coefficients(1))):
+        for task in ("hopf", "normalform"):
+            once(f"{name}-{task}-r{LARGE_R:g}-n{LARGE_R_GRID}", task,
+                 workloads.config_text(coeffs, LARGE_R_GRID, task, n_max=3),
+                 extra=("--set", f"model.r={LARGE_R:g}"))
     (out_dir / EXIT_CODES).write_text("\n".join(codes) + "\n", encoding="utf-8")
     return sum(not line.endswith(" 0") for line in codes)
 
