@@ -31,7 +31,8 @@ coeffs = build_coefficients(
 model = ModelParams(r=1e-2, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
 sol = continue_hopf(model)
 
-report = normal_form_report(sol, 0)
+# one call evaluates the ladder; the corrections are solved once for both
+report, second = normal_form_report(sol, n_max=1)
 print(f"first threshold tau_hat_0 = {report.tau_hat_n:.6f}")
 print(f"C1(0)        = {report.c1:.6f}")
 print(f"Re d mu/d tau = {report.dmu.real:.6e}")
@@ -46,7 +47,6 @@ print(f"r -> 0 closed form: {limit:.6f}   (relative gap {gap:.2e})")
 
 # at the second threshold the cycle direction is still known, but orbital
 # stability is not decided by this reduction
-second = normal_form_report(sol, 1)
 print(f"\nn = 1 threshold: direction = {second.direction},"
       f" orbit = {second.orbit_stability}")
 if second.note:

@@ -84,8 +84,6 @@ def _call(label: str, fn, *args, **kwargs):
     """Run one solver operation, mapping failures to labeled exit codes."""
     try:
         return fn(*args, **kwargs)
-    except NoHopfError:
-        raise
     except _SOLVER_ERRORS as exc:
         raise TaskFailure(EXIT_SOLVER, f"{label}: {exc}") from exc
     except BlowUpError as exc:
@@ -172,12 +170,8 @@ def _task_normalform(config: RunConfig, out: Path) -> tuple[list[str], list[str]
         sol = _continuation(config)
     except NoHopfError:
         return [_no_hopf_line(model.coeffs.c0)], []
-    reports = []
-    # the correction fields do not depend on n
-    for n in range(config.options["n_max"] + 1):
-        reuse = (reports[0].second_harmonic, reports[0].zero_mode) if reports else ()
-        reports.append(_call("normalform.normal_form_report", normal_form_report,
-                             sol, n, *reuse))
+    reports = _call("normalform.normal_form_report", normal_form_report, sol,
+                    n_max=config.options["n_max"])
     path = out / "normalform.csv"
     write_normalform_csv(path, sol, reports)
     summary = [f"c0 = {model.coeffs.c0:.12g}", f"r = {sol.r:.12g}"]
@@ -224,7 +218,7 @@ def _task_simulate(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
     options = config.options
     trace = _call(
-        "simulator.simulate_pde", simulate_pde, model,
+        "simulate.simulate_pde", simulate_pde, model,
         history=options["history"], t_end=options["t_end"], dt=options["dt"],
         snapshot_stride=options["snapshot_stride"],
     )
@@ -253,7 +247,7 @@ def _task_average_dde(config: RunConfig, out: Path) -> tuple[list[str], list[str
     coeffs = model.coeffs
     options = config.options
     trace = _call(
-        "simulator.simulate_average_dde", simulate_average_dde,
+        "simulate.simulate_average_dde", simulate_average_dde,
         coeffs.p_bar, coeffs.delta_bar, model.a, options["tau_check"],
         history=options["history"], t_end=options["t_end"], dt=options["dt"],
     )
@@ -277,7 +271,7 @@ _SWEEP_COLUMNS = (
 def _sweep_row(model: ModelParams, r: float, r_cap: float) -> tuple:
     sol = continue_hopf(model.with_r(r), r_cap=r_cap)
     integral = nondegeneracy_integral(sol, 0)
-    report = normal_form_report(sol, 0)
+    report = normal_form_report(sol)[0]
     return (
         r, 1.0 / r, sol.theta, sol.omega, sol.beta, sol.tau_n(0),
         sol.tau_hat_n(0), integral.real, integral.imag,
@@ -361,7 +355,7 @@ def run_reproduce(figure: str, out_dir: str | Path, n_points: int = 301) -> tupl
     files: list[str] = []
     for tau_hat, model in zip(delays, models):
         trace = _call(
-            "simulator.simulate_pde", simulate_pde, model,
+            "simulate.simulate_pde", simulate_pde, model,
             t_end=400.0, dt=5e-3,
         )
         path = out / f"trace_tau{tau_hat:g}.csv"

@@ -1,12 +1,12 @@
 """Hopf normal form: direction and orbit stability at a delay threshold.
 
-Given a crossing :class:`~nicholson.hopf.HopfSolution` and a threshold index
-n, this module reduces the delayed model to its center manifold and computes
-the cubic normal-form data (Hassard-Kazarinoff-Wan scheme adapted to the
-nonlocal pairing of the problem):
+Given a crossing :class:`~nicholson.hopf.HopfSolution`, this module reduces
+the delayed model to its center manifold at each delay threshold tau_n and
+computes the cubic normal-form data (Hassard-Kazarinoff-Wan scheme adapted
+to the nonlocal pairing of the problem):
 
 * two auxiliary fields, the second-harmonic and zero-mode corrections of the
-  center manifold,
+  center manifold, which are the same at every threshold of the crossing,
 * the quadratic/cubic coefficients g20, g11, g02, g21,
 * the first Lyapunov coefficient C1(0) and the bifurcation verdict
   (mu2 = -Re C1 / Re d(mu)/d(tau), forward iff mu2 > 0; the orbit on the
@@ -72,8 +72,6 @@ class NormalFormReport:
     direction: str
     orbit_stability: str
     note: str
-    second_harmonic: np.ndarray
-    zero_mode: np.ndarray
 
 
 def _delay_shift(model: ModelParams, u: np.ndarray, mu: complex, tau: float):
@@ -113,51 +111,49 @@ def _solve_shifted(sol: HopfSolution, mu: complex, tau: float, rhs: np.ndarray,
     return solve(rhs)[0]
 
 
-def second_harmonic_correction(sol: HopfSolution, n: int = 0) -> np.ndarray:
+def second_harmonic_correction(sol: HopfSolution) -> np.ndarray:
     """Center-manifold correction at twice the crossing frequency.
 
-    Returns ``-r e^{-2 i nu tau_n} * solve(p f''(u_r) psi^2)`` at mu = 2 i nu;
-    as ``e^{-2 i nu tau_n} = e^{-2 i theta}``, the field does not depend on n.
+    Returns ``-r e^{-2 i nu tau_0} * solve(p f''(u_r) psi^2)`` at mu = 2 i nu;
+    as ``e^{-2 i nu tau_n} = e^{-2 i theta}``, the field serves every
+    threshold n of the crossing.
     Small-r limit: the constant ``c0 * limit_second_harmonic_ratio(c0)``.
     """
-    tau_n = sol.tau_n(n)
+    tau_0 = sol.tau_n(0)
     coeffs = sol.model.coeffs
     rhs = coeffs.p * eval_nonlinearity(sol.u, order=2) * sol.psi**2
-    return -sol.r * np.exp(-2j * sol.nu * tau_n) * _solve_shifted(
-        sol, 2j * sol.nu, tau_n, rhs, "second_harmonic_correction")
+    return -sol.r * np.exp(-2j * sol.nu * tau_0) * _solve_shifted(
+        sol, 2j * sol.nu, tau_0, rhs, "second_harmonic_correction")
 
 
-def zero_mode_correction(sol: HopfSolution, n: int = 0) -> np.ndarray:
+def zero_mode_correction(sol: HopfSolution) -> np.ndarray:
     """Zero-frequency center-manifold correction.
 
     Solves the mu = 0 system against ``p f''(u_r) |psi|^2``: no delay factor,
-    so no dependence on n.  The small-r limit is the constant c0 (c0 - 2).
+    so the field serves every threshold n of the crossing.  The small-r
+    limit is the constant c0 (c0 - 2).
     """
-    tau_n = sol.tau_n(n)
+    tau_0 = sol.tau_n(0)
     coeffs = sol.model.coeffs
     rhs = coeffs.p * eval_nonlinearity(sol.u, order=2) * np.abs(sol.psi) ** 2
-    return -sol.r * _solve_shifted(sol, 0.0 + 0.0j, tau_n, rhs, "zero_mode_correction")
+    return -sol.r * _solve_shifted(sol, 0.0 + 0.0j, tau_0, rhs, "zero_mode_correction")
 
 
 def normal_form_coefficients(
     sol: HopfSolution,
-    n: int = 0,
-    second_harmonic: np.ndarray | None = None,
-    zero_mode: np.ndarray | None = None,
+    n: int,
+    second_harmonic: np.ndarray,
+    zero_mode: np.ndarray,
 ) -> GCoefficients:
     """Quadratic and cubic coefficients of the reduced dynamics.
 
     The delayed eigenfunction enters through phase factors
     ``e^{-i nu tau_n} = e^{-i theta}``; the pairing against the adjoint
     eigenfunction contributes one factor of psi under the integral and the
-    normalization 1/S_n.  ``second_harmonic`` and ``zero_mode`` are computed
-    on demand when not supplied.
+    normalization 1/S_n.  ``second_harmonic`` and ``zero_mode`` are the
+    crossing's two center-manifold corrections.
     """
     tau_n = sol.tau_n(n)
-    if second_harmonic is None:
-        second_harmonic = second_harmonic_correction(sol, n)
-    if zero_mode is None:
-        zero_mode = zero_mode_correction(sol, n)
     grid = sol.model.grid
     coeffs = sol.model.coeffs
     weights = grid.weights
@@ -236,37 +232,35 @@ def bifurcation_verdict(c1: complex, dmu: complex, n: int = 0):
     return mu2, direction, orbit_stability, note
 
 
-def normal_form_report(sol: HopfSolution, n: int = 0,
-                       second_harmonic: np.ndarray | None = None,
-                       zero_mode: np.ndarray | None = None) -> NormalFormReport:
-    """Full normal-form evaluation at the n-th threshold of a crossing.
+def normal_form_report(sol: HopfSolution, *,
+                       n_max: int = 0) -> tuple[NormalFormReport, ...]:
+    """Full normal-form evaluation at thresholds 0..n_max of a crossing.
 
-    ``second_harmonic`` and ``zero_mode`` are computed when not supplied;
-    neither depends on n, so one report's fields serve every threshold.
+    The two center-manifold corrections are solved once: they are the same
+    at every threshold.
     """
-    tau_n = sol.tau_n(n)
-    if second_harmonic is None:
-        second_harmonic = second_harmonic_correction(sol, n)
-    if zero_mode is None:
-        zero_mode = zero_mode_correction(sol, n)
-    g = normal_form_coefficients(sol, n, second_harmonic, zero_mode)
-    c1 = first_lyapunov_coefficient(g, sol.nu, tau_n)
-    dmu = transversality(sol, n)
-    mu2, direction, orbit_stability, note = bifurcation_verdict(c1, dmu, n)
-    return NormalFormReport(
-        n=n,
-        tau_n=tau_n,
-        tau_hat_n=sol.tau_hat_n(n),
-        g=g,
-        c1=c1,
-        dmu=dmu,
-        mu2=mu2,
-        direction=direction,
-        orbit_stability=orbit_stability,
-        note=note,
-        second_harmonic=second_harmonic,
-        zero_mode=zero_mode,
-    )
+    second_harmonic = second_harmonic_correction(sol)
+    zero_mode = zero_mode_correction(sol)
+    reports = []
+    for n in range(n_max + 1):
+        tau_n = sol.tau_n(n)
+        g = normal_form_coefficients(sol, n, second_harmonic, zero_mode)
+        c1 = first_lyapunov_coefficient(g, sol.nu, tau_n)
+        dmu = transversality(sol, n)
+        mu2, direction, orbit_stability, note = bifurcation_verdict(c1, dmu, n)
+        reports.append(NormalFormReport(
+            n=n,
+            tau_n=tau_n,
+            tau_hat_n=sol.tau_hat_n(n),
+            g=g,
+            c1=c1,
+            dmu=dmu,
+            mu2=mu2,
+            direction=direction,
+            orbit_stability=orbit_stability,
+            note=note,
+        ))
+    return tuple(reports)
 
 
 # --- closed-form r -> 0 limits -------------------------------------------

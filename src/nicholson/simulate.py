@@ -49,8 +49,6 @@ class SimulationTrace:
     ``mean_series`` holds the spatial average at every accepted step
     (the value itself for the scalar integrator, whose snapshots tuple is
     empty).  ``snapshots`` is a tuple of (time, field) pairs.
-    ``params_echo`` records the problem data actually used, including the
-    snapped step size.
     """
 
     times: np.ndarray
@@ -58,7 +56,6 @@ class SimulationTrace:
     snapshots: tuple
     dt: float
     tau_hat: float
-    params_echo: dict
 
     def __post_init__(self):
         self.times.flags.writeable = False
@@ -282,13 +279,9 @@ def simulate_pde(
         n_delay, weights * (dt * model.coeffs.p), model.a, dt, n_steps,
         blowup_threshold, snapshot_stride,
     )
-    echo = {
-        "model": model, "tau_hat": tau_hat, "dt": dt,
-        "t_end": float(times[-1]), "n_steps": n_steps,
-    }
     return SimulationTrace(
         times=times, mean_series=means, snapshots=snapshots,
-        dt=dt, tau_hat=tau_hat, params_echo=echo,
+        dt=dt, tau_hat=tau_hat,
     )
 
 
@@ -334,13 +327,9 @@ def simulate_average_dde(
         history if callable(history) else (lambda t: history), (), n_delay,
         dt * p_bar, a, dt, n_steps, 1e8,
     )
-    echo = {
-        "p_bar": p_bar, "delta_bar": delta_bar, "a": a,
-        "tau_check": tau_check, "dt": dt, "t_end": float(times[-1]),
-    }
     return SimulationTrace(
         times=times, mean_series=values, snapshots=(), dt=dt,
-        tau_hat=tau_check, params_echo=echo,
+        tau_hat=tau_check,
     )
 
 

@@ -16,10 +16,13 @@ textbook q(0) = 1 eigenvector convention, so its coefficients relate to the
 package's (eigenfunction amplitude c0, time rescaled by the threshold) by
 the exact conversion C1_package = tau_check * c0^2 * C1_textbook.
 
-The last oracle, :func:`stepped_crossing`, is the exception: it reaches a
-crossing by walking in r from the r = 0 limit, as ``continue_hopf`` once
-did, built from the package's own steady and Hopf Newton solves.  It checks
-that the one-step solve lands on the root the walk follows.
+The last oracles are the exceptions, built from the package's own solves.
+:func:`stepped_crossing` reaches a crossing by walking in r from the r = 0
+limit, as ``continue_hopf`` once did; it checks that the one-step solve
+lands on the root the walk follows.  :func:`threshold_report` evaluates the
+normal form at one threshold from corrections solved at that threshold's own
+delay, as ``normal_form_report`` once did; it checks that one pair of
+corrections, solved at tau_0, serves the whole ladder.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import math
 
 import numpy as np
 
-from nicholson.hopf import _hopf_newton, _limit_state
+from nicholson import normalform
+from nicholson.hopf import _hopf_newton, _limit_state, transversality
+from nicholson.model import eval_nonlinearity
 from nicholson.steady import solve_steady_state
 
 
@@ -169,3 +174,24 @@ def stepped_crossing(model, max_step: float = 0.025):
         u = solve_steady_state(stage, u0=u).u
         state, _ = _hopf_newton(state, stage, u)
     return (u, *state)
+
+
+def corrections_at(sol, tau: float):
+    """The (second-harmonic, zero-mode) corrections solved at delay ``tau``."""
+    pf2 = sol.model.coeffs.p * eval_nonlinearity(sol.u, order=2)
+    second = -sol.r * np.exp(-2j * sol.nu * tau) * normalform._solve_shifted(
+        sol, 2j * sol.nu, tau, pf2 * sol.psi**2, "second_harmonic_correction")
+    zero = -sol.r * normalform._solve_shifted(
+        sol, 0.0 + 0.0j, tau, pf2 * np.abs(sol.psi) ** 2, "zero_mode_correction")
+    return second, zero
+
+
+def threshold_report(sol, n: int):
+    """Normal-form report at threshold n, corrections solved at tau_n."""
+    tau_n = sol.tau_n(n)
+    g = normalform.normal_form_coefficients(sol, n, *corrections_at(sol, tau_n))
+    c1 = normalform.first_lyapunov_coefficient(g, sol.nu, tau_n)
+    dmu = transversality(sol, n)
+    return normalform.NormalFormReport(
+        n, tau_n, sol.tau_hat_n(n), g, c1, dmu,
+        *normalform.bifurcation_verdict(c1, dmu, n))

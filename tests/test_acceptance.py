@@ -233,9 +233,9 @@ def test_criterion_6_normal_form_limit_agreement():
         model = _model(f"{base:.12g} + 1*sin(1*x + 0)", grid, r=1e-3)
         c0 = model.coeffs.c0
         sol = continue_hopf(model)
-        report = normal_form_report(sol, 0)
+        report = normal_form_report(sol)[0]
         limit = limit_lyapunov_real(c0, 0)
-        zero = zero_mode_correction(sol, 0)
+        zero = zero_mode_correction(sol)
         f_ratio = float(spatial_average(zero.real, grid)) / c0
         results.append({
             "c0": c0,

@@ -39,6 +39,8 @@ from nicholson.hopf import (
 from nicholson.normalform import normal_form_report, write_normalform_csv
 from nicholson.grid import DiscreteLaplacian
 
+import oracles
+
 FIG2_CONFIG = """\
 [model]
 length = 3
@@ -332,12 +334,12 @@ class TestTaskRuns:
                                                   monkeypatch):
         # the two correction fields do not depend on n: a run over three
         # thresholds factors each shifted matrix once and writes the same
-        # table as three independent reports
+        # table as three reports with corrections solved at their own tau_n
         config = load_config(fig2_config)
         sol = continue_hopf(config.model)
         reference = tmp_path / "reference.csv"
-        write_normalform_csv(reference, sol,
-                             [normal_form_report(sol, n) for n in range(3)])
+        write_normalform_csv(reference, sol, [oracles.threshold_report(sol, n)
+                                              for n in range(3)])
         built = []
         real_factor = DiscreteLaplacian.factor
 
@@ -535,8 +537,9 @@ class TestOneLadder:
 
         config = load_config(fig2_config, overrides=parse_overrides(settings))
         sol = continue_hopf(config.model)
-        for n in range(4):
-            report = normal_form_report(sol, n)
+        reports = normal_form_report(sol, n_max=3)
+        assert [report.n for report in reports] == [0, 1, 2, 3]
+        for n, report in enumerate(reports):
             assert report.tau_n == sol.tau_n(n)
             assert report.tau_hat_n == sol.tau_hat_n(n)
 
@@ -679,7 +682,7 @@ class TestExitCodes:
             "--set", "task.t_end=4000", "--set", "task.dt=2.0",
         ])
         assert code == 3
-        assert "simulator.simulate_pde" in capsys.readouterr().err
+        assert "simulate.simulate_pde" in capsys.readouterr().err
 
     def test_scalar_overflow_is_three(self, tmp_path, fig2_config, capsys):
         out = tmp_path / "overflow"
@@ -689,7 +692,7 @@ class TestExitCodes:
             "--set", "task.t_end=200",
         ])
         assert code == 3
-        assert "simulator.simulate_average_dde" in capsys.readouterr().err
+        assert "simulate.simulate_average_dde" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("task, settings, key", [
@@ -1168,3 +1171,24 @@ print("ok")
                         builds.append(path.name)
         assert params == []
         assert builds == ["grid.py"]
+
+    def test_the_cli_hands_no_correction_back(self):
+        # the corrections are the same at every threshold of a crossing, and
+        # normalform solves them once per ladder: the CLI passes the
+        # crossing alone and reads no correction field
+        src = Path(__file__).resolve().parents[1] / "src" / "nicholson"
+        tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+        corrections = {"second_harmonic", "zero_mode"}
+        read = [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in corrections]
+        passed = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                names = [ast.unparse(arg) for arg in (node.func, *node.args)]
+                if "normal_form_report" in names:
+                    passed.append((names[names.index("normal_form_report") + 1:],
+                                   [keyword.arg for keyword in node.keywords]))
+        assert read == []
+        assert len(passed) == 2
+        assert all(len(args) == 1 and set(keywords) <= {"n_max"}
+                   for args, keywords in passed), passed

@@ -200,7 +200,7 @@ class TestRealOutput:
 
     def test_normalform(self, tmp_path, fig2_branch):
         sol = fig2_branch[1e-2]
-        reports = [normal_form_report(sol, n) for n in (0, 1)]
+        reports = normal_form_report(sol, n_max=1)
         assert_same_bytes(tmp_path, write_normalform_csv,
                           reference_normalform, sol, reports)
 
@@ -227,7 +227,7 @@ class TestBlocks:
                      (1e-300, awkward(ROWS, 7)))
         trace = SimulationTrace(
             times=awkward(ROWS, 8), mean_series=awkward(ROWS, 9),
-            snapshots=snapshots, dt=1e-3, tau_hat=0.0, params_echo={},
+            snapshots=snapshots, dt=1e-3, tau_hat=0.0,
         )
         assert_same_bytes(tmp_path, write_trace_csv, reference_trace, trace)
         assert_same_bytes(tmp_path, write_snapshot_csv, reference_snapshot,
@@ -238,7 +238,7 @@ class TestBlocks:
     def test_empty_spacetime(self, tmp_path, wide_grid):
         trace = SimulationTrace(
             times=np.zeros(1), mean_series=np.zeros(1), snapshots=(),
-            dt=1e-3, tau_hat=0.0, params_echo={},
+            dt=1e-3, tau_hat=0.0,
         )
         assert_same_bytes(tmp_path, write_spacetime_csv, reference_spacetime,
                           wide_grid, trace)
@@ -270,7 +270,7 @@ class TestBlocks:
                 dmu=complex(parts[11][k], parts[0][k]), mu2=parts[12][k],
                 direction=("forward", "backward", "undetermined")[k % 3],
                 orbit_stability=("stable", "unstable", "undetermined")[k % 3],
-                note="", second_harmonic=None, zero_mode=None,
+                note="",
             )
             for k in range(ROWS)
         ]

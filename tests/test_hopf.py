@@ -1,6 +1,7 @@
 """Hopf crossing solver: closed forms, the crossing at r, thresholds, pairing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from scipy.sparse import bmat, csc_matrix, diags
 import nicholson.hopf as hopf_module
 from nicholson.grid import Grid1D
 from nicholson.hopf import (
+    HopfSolution,
     NoHopfError,
+    SimplicityWarning,
     SolvabilityError,
     continue_hopf,
     limit_nondegeneracy_integral,
@@ -437,6 +440,18 @@ class TestThresholds:
             getattr(fig2_branch[1e-2], method)(-1)
 
 
+def rigged_crossing(theta: float, omega: float) -> HopfSolution:
+    """A constant crossing with u = 0 and z = 0, so psi = c0 and p f'(u) = p.
+
+    Then S_n = c0^2 L (1 + tau_hat_n e^{-i theta} p) and
+    dmu/dtau = -i nu r e^{-i theta} p / (1 + tau_hat_n e^{-i theta} p),
+    which theta and omega set freely.
+    """
+    model = constant_model(3.0, Grid1D(length=2.0, n_points=11), r=1e-2)
+    return HopfSolution(model=model, u=np.zeros(11), z=np.zeros(11, complex),
+                        beta=1.0, omega=omega, theta=theta, residual_norm=0.0)
+
+
 class TestNondegeneracyIntegral:
     def test_matches_limit_at_small_r(self, fig2_branch, fig2_model):
         c0 = fig2_model.coeffs.c0
@@ -456,6 +471,18 @@ class TestNondegeneracyIntegral:
             expected = (1.0 + big_theta / spread + 1j * big_theta) * 9.0 * 2.0
             got = limit_nondegeneracy_integral(c0, length, n)
             assert got == pytest.approx(expected, rel=1e-14)
+
+    def test_vanishing_integral_warns(self):
+        # theta = pi and omega = pi p make tau_hat_0 e^{-i theta} p = -1, so
+        # S_0 cancels to roundoff; S_1 does not
+        p = math.exp(3.0)
+        sol = rigged_crossing(math.pi, math.pi * p)
+        with pytest.warns(SimplicityWarning, match=r"\|S_0\| = "):
+            integral = nondegeneracy_integral(sol, 0)
+        assert abs(integral) < 1e-8 * 9.0 * 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SimplicityWarning)
+            nondegeneracy_integral(sol, 1)
 
 
 class TestTransversality:
@@ -484,6 +511,15 @@ class TestTransversality:
             math.exp(3.0), 1.0, tau0, math.sqrt(3.0)
         )["crossing_speed"].real
         assert scaled == pytest.approx(oracle_speed, rel=1e-6)
+
+    def test_nonpositive_speed_raises(self):
+        # theta = pi/2 gives dmu/dtau = -nu r p / (1 - i tau_hat_n p), whose
+        # real part is negative at every threshold
+        sol = rigged_crossing(math.pi / 2, 1.0)
+        for n in (0, 1):
+            with pytest.raises(RuntimeError,
+                               match=rf"<= 0 at r = 0\.01, n = {n}$"):
+                transversality(sol, n)
 
 
 class TestHopfCsv:

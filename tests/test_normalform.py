@@ -28,7 +28,6 @@ from nicholson.normalform import (
     limit_second_harmonic_ratio,
     limit_zero_mode_ratio,
     lyapunov_sign_bounds,
-    normal_form_coefficients,
     normal_form_report,
     second_harmonic_correction,
     write_normalform_csv,
@@ -61,14 +60,13 @@ class TestConstantCoefficientExactness:
         # full pipeline must hit the closed-form limit at machine precision;
         # this pins the 1/2 factor of the limit formula against the
         # independently assembled discrete computation
-        for n in (0, 1):
-            report = normal_form_report(constant_crossing, n)
-            limit = limit_lyapunov_real(3.0, n)
+        for report in normal_form_report(constant_crossing, n_max=1):
+            limit = limit_lyapunov_real(3.0, report.n)
             assert report.c1.real == pytest.approx(limit, abs=1e-9)
 
     def test_correction_fields_are_constant_multiples(self, constant_crossing):
-        second = second_harmonic_correction(constant_crossing, 0)
-        zero = zero_mode_correction(constant_crossing, 0)
+        second = second_harmonic_correction(constant_crossing)
+        zero = zero_mode_correction(constant_crossing)
         assert np.ptp(np.abs(second)) < 1e-10
         assert np.ptp(np.abs(zero)) < 1e-10
         assert second[0] / 3.0 == pytest.approx(
@@ -79,7 +77,7 @@ class TestConstantCoefficientExactness:
     def test_quadratic_coefficients_share_one_integral(self, constant_crossing):
         # for a real eigenfunction the three quadratic terms differ only by
         # the delay phase
-        g = normal_form_coefficients(constant_crossing, 0)
+        g = normal_form_report(constant_crossing)[0].g
         phase = constant_crossing.nu * constant_crossing.tau_n(0)
         assert g.g20 == pytest.approx(g.g11 * np.exp(-2j * phase), rel=1e-10)
         assert g.g02 == pytest.approx(g.g11 * np.exp(2j * phase), rel=1e-10)
@@ -95,7 +93,7 @@ class TestScalarOracleEquivalence:
         textbook = oracles.scalar_normal_form(
             math.exp(c0), 1.0, tau0, math.sqrt(3.0)
         )
-        g = normal_form_coefficients(constant_crossing, 0)
+        g = normal_form_report(constant_crossing)[0].g
         quad = tau0 * c0
         assert g.g20 == pytest.approx(quad * textbook["g20"], rel=1e-8)
         assert g.g11 == pytest.approx(quad * textbook["g11"], rel=1e-8)
@@ -109,7 +107,7 @@ class TestScalarOracleEquivalence:
         textbook = oracles.scalar_normal_form(
             math.exp(c0), 1.0, tau0, math.sqrt(3.0)
         )
-        report = normal_form_report(constant_crossing, 0)
+        report = normal_form_report(constant_crossing)[0]
         assert report.c1 == pytest.approx(tau0 * c0**2 * textbook["c1"],
                                           rel=1e-8)
 
@@ -119,8 +117,8 @@ class TestScalarOracleEquivalence:
         textbook = oracles.scalar_normal_form(
             math.exp(c0), 1.0, tau0, math.sqrt(3.0)
         )
-        second = second_harmonic_correction(constant_crossing, 0)
-        zero = zero_mode_correction(constant_crossing, 0)
+        second = second_harmonic_correction(constant_crossing)
+        zero = zero_mode_correction(constant_crossing)
         assert second[0] == pytest.approx(
             c0**2 * textbook["second_harmonic"], rel=1e-8
         )
@@ -197,7 +195,7 @@ class TestLimitFormulas:
 class TestHeterogeneousSmallR:
     def test_fig2_pipeline_close_to_limit(self, fig2_branch, fig2_model):
         c0 = fig2_model.coeffs.c0
-        report = normal_form_report(fig2_branch[1e-3], 0)
+        report = normal_form_report(fig2_branch[1e-3])[0]
         limit = limit_lyapunov_real(c0, 0)
         assert report.c1.real < 0
         assert report.c1.real == pytest.approx(limit, rel=5e-4)
@@ -205,12 +203,12 @@ class TestHeterogeneousSmallR:
     def test_zero_mode_mean_ratio(self, fig2_branch, fig2_model):
         c0 = fig2_model.coeffs.c0
         grid = fig2_model.grid
-        zero = zero_mode_correction(fig2_branch[1e-3], 0)
+        zero = zero_mode_correction(fig2_branch[1e-3])
         mean_ratio = (grid.integrate(zero.real) / grid.length) / c0
         assert mean_ratio == pytest.approx(c0 - 2.0, rel=0.05)
 
     def test_direction_and_stability(self, fig2_branch):
-        report = normal_form_report(fig2_branch[1e-2], 0)
+        report = normal_form_report(fig2_branch[1e-2])[0]
         assert report.direction == "forward"
         assert report.orbit_stability == "stable"
         assert report.mu2 > 0
@@ -225,7 +223,7 @@ class TestHeterogeneousSmallR:
         for n in (151, 301, 601, 1201):
             grid = Grid1D(length=FIG_LENGTH, n_points=n)
             report = normal_form_report(
-                continue_hopf(figure_model("fig2", grid, r=1e-2)), 0)
+                continue_hopf(figure_model("fig2", grid, r=1e-2)))[0]
             values.append((report.c1.real, report.dmu.real))
         diffs = np.diff(np.array(values), axis=0)
         ratios = diffs[:-1] / diffs[1:]
@@ -303,7 +301,7 @@ class TestResonanceGuard:
             residual_norm=0.0,
         )
         with pytest.raises(ResonanceError, match="near-singular"):
-            zero_mode_correction(rigged, 0)
+            zero_mode_correction(rigged)
 
     def test_singular_factor_raises_before_estimate(self, fig2_branch,
                                                      monkeypatch):
@@ -335,7 +333,7 @@ class TestResonanceGuard:
         for correction in (second_harmonic_correction, zero_mode_correction):
             with pytest.raises(ResonanceError,
                                match=r"near-singular \(condition estimate inf\)"):
-                correction(sol, 0)
+                correction(sol)
 
 
 def _crossing_systems(n_points):
@@ -376,8 +374,8 @@ class TestShiftedSolve:
         model = figure_model("fig2", Grid1D(length=FIG_LENGTH,
                                             n_points=n_points), r=1e-2)
         sol = continue_hopf(model)
-        second_harmonic_correction(sol, 0)
-        zero_mode_correction(sol, 0)
+        second_harmonic_correction(sol)
+        zero_mode_correction(sol)
         tau_0 = sol.tau_n(0)
         assert len(estimates) == 2
         for estimate, mu in zip(estimates, (2j * sol.nu, 0.0)):
@@ -414,17 +412,24 @@ class TestShiftedSolve:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_corrections_do_not_depend_on_threshold(self, fig2_branch, n):
+        # e^{-2 i nu tau_n} = e^{-2 i theta}: the corrections solved at
+        # tau_n itself are the ones the normal form solves once, at tau_0
         sol = fig2_branch[1e-2]
-        for correction in (second_harmonic_correction, zero_mode_correction):
-            at_zero = correction(sol, 0)
-            gap = np.abs(correction(sol, n) - at_zero).max()
+        at_tau_n = oracles.corrections_at(sol, sol.tau_n(n))
+        for correction, at_n in zip(
+                (second_harmonic_correction, zero_mode_correction), at_tau_n):
+            at_zero = correction(sol)
+            gap = np.abs(at_n - at_zero).max()
             assert gap <= 1e-13 * np.abs(at_zero).max()
 
 
 class TestReportCsv:
     def test_rows_per_threshold(self, tmp_path, fig2_branch):
         sol = fig2_branch[1e-2]
-        reports = [normal_form_report(sol, n) for n in (0, 1)]
+        reports = normal_form_report(sol, n_max=1)
+        # n_max is keyword-only: a threshold index in its place is refused
+        with pytest.raises(TypeError):
+            normal_form_report(sol, 1)
         path = tmp_path / "normalform.csv"
         write_normalform_csv(path, sol, reports)
         lines = path.read_text(encoding="utf-8").splitlines()

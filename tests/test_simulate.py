@@ -42,7 +42,6 @@ def synthetic_trace(values: np.ndarray, dt: float) -> SimulationTrace:
         snapshots=(),
         dt=dt,
         tau_hat=0.0,
-        params_echo={},
     )
 
 
@@ -271,11 +270,10 @@ class TestPdeInterface:
         with pytest.raises(ValueError):
             trace.times[0] = -1.0
 
-    def test_params_echo(self, fig1_model):
+    def test_times_reach_t_end(self, fig1_model):
         trace = simulate_pde(fig1_model, t_end=2.0, dt=1e-2)
-        echo = trace.params_echo
-        assert echo["t_end"] == pytest.approx(2.0)
-        assert echo["n_steps"] == len(trace.mean_series) - 1
+        assert trace.times[-1] == pytest.approx(2.0)
+        assert len(trace.times) - 1 == 200 == len(trace.mean_series) - 1
 
     def test_snapshot_stride(self, fig1_model):
         trace = simulate_pde(fig1_model, t_end=2.0, dt=1e-2,
