@@ -2,16 +2,16 @@
 Positive steady states of the heterogeneous blowflies model
 ===========================================================
 
-Builds the two coefficient families used throughout the package, solves
-for the positive steady state at several diffusion rates, and shows the
-flattening of the profile toward the constant c0 = ln(p_bar / delta_bar)
+Builds the two coefficient families used throughout the package from the
+text of their sinusoids (a number or an array of nodal values works too),
+solves for the positive steady state at several diffusion rates, and shows
+the flattening of the profile toward the constant c0 = ln(p_bar / delta_bar)
 as r = 1/d shrinks.
 """
 
 import numpy as np
 
 from nicholson import (
-    CoefficientSpec,
     Grid1D,
     ModelParams,
     build_coefficients,
@@ -19,13 +19,13 @@ from nicholson import (
 )
 
 grid = Grid1D(length=3.0, n_points=301)
-delta = CoefficientSpec.parse("2 + 1*cos(0.2*x + 0)")
+delta = "2 + 1*cos(0.2*x + 0)"
 
 for label, p_text in (
     ("low birth rate", "10 + 1*sin(1*x + 0)"),
     ("high birth rate", "30 + 1*sin(1*x + 0)"),
 ):
-    coeffs = build_coefficients(CoefficientSpec.parse(p_text), delta, grid)
+    coeffs = build_coefficients(p_text, delta, grid)
     print(f"--- {label}: p = {p_text}")
     print(f"    p_bar = {coeffs.p_bar:.6f}, delta_bar = {coeffs.delta_bar:.6f},"
           f" c0 = {coeffs.c0:.6f}")
@@ -41,9 +41,7 @@ for label, p_text in (
     print()
 
 # with constant coefficients the solver lands on the closed form exactly
-const = build_coefficients(
-    CoefficientSpec.constant(np.exp(3.0)), CoefficientSpec.constant(1.0), grid
-)
+const = build_coefficients(np.exp(3.0), 1.0, grid)
 model = ModelParams(r=0.25, a=2.5, tau=0.0, grid=grid, coeffs=const)
 steady = solve_steady_state(model)
 print("constant coefficients, c0 = 3:"

@@ -11,7 +11,6 @@ verdict for a family with c0 < 2, where no threshold exists.
 """
 
 from nicholson import (
-    CoefficientSpec,
     Grid1D,
     ModelParams,
     NoHopfError,
@@ -21,10 +20,8 @@ from nicholson import (
 )
 
 grid = Grid1D(length=3.0, n_points=301)
-delta = CoefficientSpec.parse("2 + 1*cos(0.2*x + 0)")
-coeffs = build_coefficients(
-    CoefficientSpec.parse("30 + 1*sin(1*x + 0)"), delta, grid
-)
+delta = "2 + 1*cos(0.2*x + 0)"
+coeffs = build_coefficients("30 + 1*sin(1*x + 0)", delta, grid)
 print(f"c0 = {coeffs.c0:.6f} > 2, so a Hopf threshold ladder exists\n")
 
 limit = continue_hopf(ModelParams(r=0.0, a=2.5, tau=0.0, grid=grid,
@@ -51,9 +48,7 @@ print(f"\nRe d mu / d tau at the first threshold = {crossing.real:.6e} > 0"
       "\n(the eigenvalue pair crosses the imaginary axis transversally)")
 
 # a low-birth family never oscillates, whatever the delay
-quiet = build_coefficients(
-    CoefficientSpec.parse("10 + 1*sin(1*x + 0)"), delta, grid
-)
+quiet = build_coefficients("10 + 1*sin(1*x + 0)", delta, grid)
 model = ModelParams(r=1e-2, a=2.5, tau=0.0, grid=grid, coeffs=quiet)
 try:
     continue_hopf(model)

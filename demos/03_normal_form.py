@@ -12,7 +12,6 @@ sign certificate guaranteeing Re C1 < 0 for every c0 > 2 is sampled.
 import numpy as np
 
 from nicholson import (
-    CoefficientSpec,
     Grid1D,
     ModelParams,
     build_coefficients,
@@ -23,11 +22,7 @@ from nicholson import (
 )
 
 grid = Grid1D(length=3.0, n_points=301)
-coeffs = build_coefficients(
-    CoefficientSpec.parse("30 + 1*sin(1*x + 0)"),
-    CoefficientSpec.parse("2 + 1*cos(0.2*x + 0)"),
-    grid,
-)
+coeffs = build_coefficients("30 + 1*sin(1*x + 0)", "2 + 1*cos(0.2*x + 0)", grid)
 model = ModelParams(r=1e-2, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
 sol = continue_hopf(model)
 

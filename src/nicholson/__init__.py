@@ -16,9 +16,9 @@ of its spatially averaged scalar delay equation.
 from .grid import DiscreteLaplacian, Grid1D, spatial_average
 from .model import (
     CoefficientField,
-    CoefficientSpec,
     ModelParams,
     build_coefficients,
+    coefficient_values,
     eval_nonlinearity,
 )
 from .steady import (
@@ -81,9 +81,9 @@ __all__ = [
     "Grid1D",
     "spatial_average",
     "CoefficientField",
-    "CoefficientSpec",
     "ModelParams",
     "build_coefficients",
+    "coefficient_values",
     "eval_nonlinearity",
     "NewtonConvergenceError",
     "SteadyState",

@@ -80,8 +80,9 @@ class TaskFailure(Exception):
         self.exit_code = exit_code
 
 
-def _call(label: str, fn, *args, **kwargs):
-    """Run one solver operation, mapping failures to labeled exit codes."""
+def _call(fn, *args, **kwargs):
+    """Run ``fn``, mapping failures to exit codes labeled ``module.function``."""
+    label = f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}"
     try:
         return fn(*args, **kwargs)
     except _SOLVER_ERRORS as exc:
@@ -110,13 +111,12 @@ def _prepare_out(out_dir: str) -> Path:
 
 
 def _continuation(config: RunConfig):
-    return _call("hopf.continue_hopf", continue_hopf, config.model,
-                 r_cap=config.options["r_cap"])
+    return _call(continue_hopf, config.model, r_cap=config.options["r_cap"])
 
 
 def _task_steady(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    steady = _call("steady.solve_steady_state", solve_steady_state, model)
+    steady = _call(solve_steady_state, model)
     path = out / "steady.csv"
     write_steady_csv(path, model.grid, steady)
     mean_u = float(model.grid.integrate(steady.u) / model.grid.length)
@@ -141,8 +141,8 @@ def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     n_max = config.options["n_max"]
     path = out / "hopf.csv"
     write_hopf_csv(path, sol, n_max)
-    integral = _call("hopf.nondegeneracy_integral", nondegeneracy_integral, sol, 0)
-    crossing = _call("hopf.transversality", transversality, sol, 0)
+    integral = _call(nondegeneracy_integral, sol, 0)
+    crossing = _call(transversality, sol, 0)
     summary = [
         f"c0 = {model.coeffs.c0:.12g}",
         f"r = {sol.r:.12g}",
@@ -170,8 +170,7 @@ def _task_normalform(config: RunConfig, out: Path) -> tuple[list[str], list[str]
         sol = _continuation(config)
     except NoHopfError:
         return [_no_hopf_line(model.coeffs.c0)], []
-    reports = _call("normalform.normal_form_report", normal_form_report, sol,
-                    n_max=config.options["n_max"])
+    reports = _call(normal_form_report, sol, n_max=config.options["n_max"])
     path = out / "normalform.csv"
     write_normalform_csv(path, sol, reports)
     summary = [f"c0 = {model.coeffs.c0:.12g}", f"r = {sol.r:.12g}"]
@@ -214,14 +213,16 @@ def _verdict_lines(prefix: str, trace, tail_fraction: float) -> list[str]:
     return lines
 
 
+def _simulate(config: RunConfig):
+    options = config.options
+    return _call(simulate_pde, config.model, history=options["history"],
+                 t_end=options["t_end"], dt=options["dt"],
+                 snapshot_stride=options["snapshot_stride"])
+
+
 def _task_simulate(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    options = config.options
-    trace = _call(
-        "simulate.simulate_pde", simulate_pde, model,
-        history=options["history"], t_end=options["t_end"], dt=options["dt"],
-        snapshot_stride=options["snapshot_stride"],
-    )
+    trace = _simulate(config)
     files = []
     path = out / "trace.csv"
     write_trace_csv(path, trace)
@@ -238,7 +239,7 @@ def _task_simulate(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         f"c0 = {model.coeffs.c0:.12g}",
         f"tau_hat = {trace.tau_hat:.12g}",
     ]
-    summary.extend(_verdict_lines("", trace, options["tail_fraction"]))
+    summary.extend(_verdict_lines("", trace, config.options["tail_fraction"]))
     return summary, files
 
 
@@ -247,7 +248,7 @@ def _task_average_dde(config: RunConfig, out: Path) -> tuple[list[str], list[str
     coeffs = model.coeffs
     options = config.options
     trace = _call(
-        "simulate.simulate_average_dde", simulate_average_dde,
+        simulate_average_dde,
         coeffs.p_bar, coeffs.delta_bar, model.a, options["tau_check"],
         history=options["history"], t_end=options["t_end"], dt=options["dt"],
     )
@@ -292,7 +293,7 @@ def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         except _SOLVER_ERRORS + (NoHopfError,):
             rows.append((r, 1.0 / r) + (BLANK,) * 9 + ("STALL",))
             stalled += 1
-    limit = _call("hopf.continue_hopf", continue_hopf, model.with_r(0.0))
+    limit = _call(continue_hopf, model.with_r(0.0))
     tau_hat0 = limit.tau_hat_n(0)
     integral = limit_nondegeneracy_integral(coeffs.c0, model.grid.length, 0)
     crossing = limit_transversality_real(coeffs, model.grid, 0)
@@ -331,53 +332,49 @@ _FIGURES = {
 }
 
 
-def _reproduce_model(figure: str, tau_hat: float, n_points: int) -> ModelParams:
+def _reproduce_config(figure: str, tau_hat: float, n_points: int) -> RunConfig:
     # both built-in parameter sets use d = 0.1, given as r = 10 so that the
     # delay is tau_hat / 10
     settings = ["model.length=3.0", "model.a=2.5", "model.r=10",
                 f"model.tau_hat={tau_hat!r}", f"model.p={_FIGURES[figure]['p']}",
                 "model.delta=2 + 1*cos(0.2*x + 0)", "task.name=simulate"]
     return load_config(None, overrides=parse_overrides(settings),
-                       grid_override=n_points).model
+                       grid_override=n_points)
 
 
 def run_reproduce(figure: str, out_dir: str | Path, n_points: int = 301) -> tuple[list[str], list[str]]:
     """Run both figure delays and summarize the regimes and c0 check.
 
-    Both models are built, and so the grid checked, before ``out_dir`` is
+    Each delay runs with the ``simulate`` task's default settings.  Both
+    configs are built, and so the grid checked, before ``out_dir`` is
     created.
     """
     reference = _FIGURES[figure]["reference_c0"]
     delays = (0.0, 2.0)
-    models = [_reproduce_model(figure, tau_hat, n_points) for tau_hat in delays]
+    configs = [_reproduce_config(figure, tau_hat, n_points) for tau_hat in delays]
     out = _prepare_out(out_dir)
     summary: list[str] = []
     files: list[str] = []
-    for tau_hat, model in zip(delays, models):
-        trace = _call(
-            "simulate.simulate_pde", simulate_pde, model,
-            t_end=400.0, dt=5e-3,
-        )
+    for tau_hat, config in zip(delays, configs):
+        trace = _simulate(config)
         path = out / f"trace_tau{tau_hat:g}.csv"
         write_trace_csv(path, trace)
         files.append(path.name)
         if not summary:
-            c0 = model.coeffs.c0
+            c0 = config.model.coeffs.c0
             gap = abs(c0 - reference)
             flag = "OK" if gap < 1e-3 else "FAIL"
             summary.append(
                 f"c0 = {c0:.12g} (reference {reference:.4f}, |diff| = "
                 f"{gap:.3g}, within 1e-3: {flag})"
             )
-        summary.extend(
-            _verdict_lines(f"tau_hat{tau_hat:g}_", trace, 0.25)
-        )
+        summary.extend(_verdict_lines(f"tau_hat{tau_hat:g}_", trace,
+                                      config.options["tail_fraction"]))
     return summary, files
 
 
 def run_task(config: RunConfig, out_dir: str) -> int:
     """Execute one configured task; returns the process exit code."""
-    config.require_options()
     out = _prepare_out(out_dir)
     summary, files = _TASK_RUNNERS[config.task](config, out)
     _finish_run(out, echo_lines(config), summary, files)

@@ -34,8 +34,10 @@ import configparser
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import Grid1D
-from .model import CoefficientSpec, ModelParams, build_coefficients
+from .model import ModelParams, build_coefficients, coefficient_values
 
 TASKS = ("steady", "hopf", "normalform", "simulate", "average-dde", "sweep")
 _REQUIRED = object()  # the default of a key its task cannot run without
@@ -96,12 +98,6 @@ class RunConfig:
     task: str
     options: dict
 
-    def require_options(self) -> None:
-        """Raise for a missing required key, which load_config lets pass."""
-        for key in task_keys(self.task):
-            if key not in self.options:
-                raise ConfigError(f"task.{key} is required for task {self.task!r}")
-
 
 def parse_overrides(pairs) -> dict[tuple[str, str], str]:
     """Turn ``section.key=value`` strings into an override mapping."""
@@ -152,7 +148,24 @@ def _pop_model_number(table: dict, key: str, kind=float):
         "must be finite")
 
 
-def _coefficient(table: dict, name: str, grid: Grid1D) -> CoefficientSpec:
+def read_coefficient_csv(path, grid: Grid1D) -> np.ndarray:
+    """Nodal values from a two-column CSV with header ``x,value``.
+
+    The x column must match the grid nodes in order.
+    """
+    raw = np.genfromtxt(path, delimiter=",", names=True)
+    names = raw.dtype.names
+    if names is None or len(names) != 2 or names[0] != "x":
+        raise ValueError(f"{path}: expected CSV header 'x,value'")
+    x = np.atleast_1d(raw[names[0]])
+    if x.size != grid.n_points:
+        raise ValueError(f"{path}: {x.size} rows but grid has {grid.n_points} nodes")
+    if not np.allclose(x, grid.nodes, atol=1e-9 * max(1.0, grid.length)):
+        raise ValueError(f"{path}: x column does not match the grid nodes")
+    return np.atleast_1d(raw[names[1]])
+
+
+def _coefficient(table: dict, name: str, grid: Grid1D) -> np.ndarray:
     inline = table.pop(name, None)
     csv_path = table.pop(f"{name}_csv", None)
     if (inline is None) == (csv_path is None):
@@ -162,8 +175,8 @@ def _coefficient(table: dict, name: str, grid: Grid1D) -> CoefficientSpec:
         )
     try:
         if inline is not None:
-            return CoefficientSpec.parse(inline)
-        return CoefficientSpec.from_csv(csv_path, grid)
+            return coefficient_values(inline, grid)
+        return read_coefficient_csv(csv_path, grid)
     except ValueError as exc:
         raise ConfigError(f"model.{name}: {exc}") from exc
 
@@ -227,12 +240,12 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
     if not 0 <= tau < math.inf:  # tau_hat / r overflows for a tiny r
         raise ConfigError(f"delay must be nonnegative and finite, got tau = {tau:.6g}")
 
-    p_spec = _coefficient(model_table, "p", grid)
-    delta_spec = _coefficient(model_table, "delta", grid)
+    p = _coefficient(model_table, "p", grid)
+    delta = _coefficient(model_table, "delta", grid)
     if model_table:
         raise ConfigError(f"unknown model keys: {sorted(model_table)}")
     try:
-        coeffs = build_coefficients(p_spec, delta_spec, grid)
+        coeffs = build_coefficients(p, delta, grid)
         model = ModelParams(r=r, a=a, tau=tau, grid=grid, coeffs=coeffs)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
@@ -258,7 +271,9 @@ def _task_options(task: str, table: dict, model: ModelParams) -> dict:
         default = defaults[task]
         if key in table:
             options[key] = _read(table[key], f"task.{key}", *rule)
-        elif default is not _REQUIRED:
+        elif default is _REQUIRED:
+            raise ConfigError(f"task.{key} is required for task {task!r}")
+        else:
             options[key] = default(model) if callable(default) else default
     # hopf and normalform solve at model.r, sweep at each r of its list
     name, targets = (("task.r_list entry", options.get("r_list", []))

@@ -71,114 +71,40 @@ _PARAMETRIC = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class CoefficientSpec:
-    """Recipe for one spatial coefficient field.
+def coefficient_values(spec, grid: Grid1D) -> np.ndarray:
+    """Nodal values of one coefficient field, as a new array.
 
-    Three flavors: a constant, a sinusoid ``base + amplitude*sin(wavenumber*x
-    + phase)`` (or cos), or explicit nodal samples.  The textual forms parsed
-    by :meth:`parse` are a bare number or the five-number sinusoid above.
+    ``spec`` is a number, the text of a number, the text of a sinusoid
+    ``"base + amplitude*sin(wavenumber*x + phase)"`` (``cos`` too, and
+    ``- phase``), or a 1-D array of nodal values, which is copied.
     """
-
-    kind: str  # 'const' | 'sin' | 'cos' | 'samples'
-    base: float = 0.0
-    amplitude: float = 0.0
-    wavenumber: float = 0.0
-    phase: float = 0.0
-    samples: np.ndarray | None = None
-
-    @classmethod
-    def constant(cls, value: float) -> "CoefficientSpec":
-        return cls(kind="const", base=float(value))
-
-    @classmethod
-    def sinusoid(
-        cls,
-        base: float,
-        amplitude: float,
-        wavenumber: float,
-        phase: float = 0.0,
-        kind: str = "sin",
-    ) -> "CoefficientSpec":
-        if kind not in ("sin", "cos"):
-            raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")
-        return cls(
-            kind=kind,
-            base=float(base),
-            amplitude=float(amplitude),
-            wavenumber=float(wavenumber),
-            phase=float(phase),
-        )
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray) -> "CoefficientSpec":
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("samples must be a 1-D array of nodal values")
-        return cls(kind="samples", samples=values)
-
-    @classmethod
-    def parse(cls, text: str) -> "CoefficientSpec":
-        """Parse ``"10 + 1*sin(1*x + 0)"``, ``"2 + 1*cos(0.2*x + 0)"`` or ``"2.5"``."""
-        match = _PARAMETRIC.match(text)
+    if isinstance(spec, str):
+        match = _PARAMETRIC.match(spec)
         if match:
-            sign = -1.0 if match.group("psign") == "-" else 1.0
             try:
-                return cls.sinusoid(
-                    base=float(match.group("base")),
-                    amplitude=float(match.group("amp")),
-                    wavenumber=float(match.group("wav")),
-                    phase=sign * float(match.group("phase")),
-                    kind=match.group("kind"),
-                )
+                base, amplitude, wavenumber, phase = (
+                    float(match.group(key)) for key in ("base", "amp", "wav", "phase"))
             except ValueError as exc:
-                raise ValueError(f"cannot parse coefficient {text!r}: {exc}") from None
-        try:
-            return cls.constant(float(text))
-        except ValueError:
+                raise ValueError(f"cannot parse coefficient {spec!r}: {exc}") from None
+            if match.group("psign") == "-":
+                phase = -phase
+            wave = np.sin if match.group("kind") == "sin" else np.cos
+            return base + amplitude * wave(wavenumber * grid.nodes + phase)
+    elif np.ndim(spec):
+        values = np.array(spec, dtype=float)
+        if values.shape != (grid.n_points,):
             raise ValueError(
-                f"cannot parse coefficient {text!r}; expected a number or "
-                "'base + amplitude*sin(wavenumber*x + phase)' with sin or cos"
-            ) from None
-
-    @classmethod
-    def from_csv(cls, path, grid: Grid1D) -> "CoefficientSpec":
-        """Load nodal samples from a two-column CSV with header ``x,value``.
-
-        The x column must match the grid nodes in order.
-        """
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-        names = raw.dtype.names
-        if names is None or len(names) != 2 or names[0] != "x":
-            raise ValueError(f"{path}: expected CSV header 'x,value'")
-        x = np.atleast_1d(raw[names[0]])
-        values = np.atleast_1d(raw[names[1]])
-        if x.size != grid.n_points:
-            raise ValueError(
-                f"{path}: {x.size} rows but grid has {grid.n_points} nodes"
+                f"nodal values of shape {values.shape} do not match the "
+                f"grid's {grid.n_points} nodes"
             )
-        if not np.allclose(x, grid.nodes, atol=1e-9 * max(1.0, grid.length)):
-            raise ValueError(f"{path}: x column does not match the grid nodes")
-        return cls.from_samples(values)
-
-    def sample(self, grid: Grid1D) -> np.ndarray:
-        """Evaluate the coefficient on the grid nodes."""
-        if self.kind == "const":
-            return np.full(grid.n_points, self.base)
-        if self.kind in ("sin", "cos"):
-            wave = np.sin if self.kind == "sin" else np.cos
-            return self.base + self.amplitude * wave(
-                self.wavenumber * grid.nodes + self.phase
-            )
-        if self.kind == "samples":
-            if self.samples is None or self.samples.size != grid.n_points:
-                raise ValueError(
-                    "sampled coefficient does not match the grid "
-                    f"({0 if self.samples is None else self.samples.size} values, "
-                    f"{grid.n_points} nodes)"
-                )
-            return np.array(self.samples, dtype=float)
-        raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        return values
+    try:
+        return np.full(grid.n_points, float(spec))
+    except ValueError:
+        raise ValueError(
+            f"cannot parse coefficient {spec!r}; expected a number or "
+            "'base + amplitude*sin(wavenumber*x + phase)' with sin or cos"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -203,10 +129,10 @@ class CoefficientField:
     c0: float
 
 
-def build_coefficients(
-    p_spec: CoefficientSpec, delta_spec: CoefficientSpec, grid: Grid1D
-) -> CoefficientField:
-    """Sample the coefficient specs on the grid and compute means and c0.
+def build_coefficients(p, delta, grid: Grid1D) -> CoefficientField:
+    """Sample both coefficients on the grid and compute means and c0.
+
+    ``p`` and ``delta`` each take any form :func:`coefficient_values` reads.
 
     Raises
     ------
@@ -214,8 +140,8 @@ def build_coefficients(
         If either coefficient is not finite and strictly positive at every
         node.
     """
-    p = p_spec.sample(grid)
-    delta = delta_spec.sample(grid)
+    p = coefficient_values(p, grid)
+    delta = coefficient_values(delta, grid)
     for name, values in (("p", p), ("delta", delta)):
         bad = ~((values > 0) & (values < np.inf))
         if bad.any():

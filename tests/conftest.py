@@ -17,12 +17,7 @@ from scipy.sparse import csc_matrix, diags
 
 from nicholson.grid import Grid1D
 from nicholson.hopf import continue_hopf
-from nicholson.model import (
-    CoefficientSpec,
-    ModelParams,
-    build_coefficients,
-    eval_nonlinearity,
-)
+from nicholson.model import ModelParams, build_coefficients, eval_nonlinearity
 
 FIG1_P = "10 + 1*sin(1*x + 0)"
 FIG2_P = "30 + 1*sin(1*x + 0)"
@@ -33,9 +28,7 @@ FIG_A = 2.5
 
 def figure_model(which: str, grid: Grid1D, r: float, tau: float = 0.0) -> ModelParams:
     p_text = FIG1_P if which == "fig1" else FIG2_P
-    coeffs = build_coefficients(
-        CoefficientSpec.parse(p_text), CoefficientSpec.parse(FIG_DELTA), grid
-    )
+    coeffs = build_coefficients(p_text, FIG_DELTA, grid)
     return ModelParams(r=r, a=FIG_A, tau=tau, grid=grid, coeffs=coeffs)
 
 
@@ -66,11 +59,7 @@ def characteristic_matrix(model: ModelParams, u, mu: complex,
 
 def constant_model(c0: float, grid: Grid1D, r: float,
                    delta_bar: float = 1.0) -> ModelParams:
-    coeffs = build_coefficients(
-        CoefficientSpec.constant(delta_bar * math.exp(c0)),
-        CoefficientSpec.constant(delta_bar),
-        grid,
-    )
+    coeffs = build_coefficients(delta_bar * math.exp(c0), delta_bar, grid)
     return ModelParams(r=r, a=FIG_A, tau=0.0, grid=grid, coeffs=coeffs)
 
 

@@ -22,7 +22,7 @@ from nicholson.hopf import (
     limit_transversality_real,
     transversality,
 )
-from nicholson.model import CoefficientSpec, ModelParams, build_coefficients, eval_nonlinearity
+from nicholson.model import ModelParams, build_coefficients, eval_nonlinearity
 from nicholson.normalform import (
     limit_lyapunov_real,
     normal_form_report,
@@ -42,9 +42,7 @@ def _grid(n_points: int = 301) -> Grid1D:
 
 
 def _coeffs(p_spec: str, grid: Grid1D):
-    return build_coefficients(
-        CoefficientSpec.parse(p_spec), CoefficientSpec.parse(FIG_DELTA), grid
-    )
+    return build_coefficients(p_spec, FIG_DELTA, grid)
 
 
 def _model(p_spec: str, grid: Grid1D, r: float, tau: float = 0.0) -> ModelParams:
@@ -53,11 +51,7 @@ def _model(p_spec: str, grid: Grid1D, r: float, tau: float = 0.0) -> ModelParams
 
 
 def _constant_model(c0: float, grid: Grid1D, r: float) -> ModelParams:
-    coeffs = build_coefficients(
-        CoefficientSpec.constant(math.exp(c0)),
-        CoefficientSpec.constant(1.0),
-        grid,
-    )
+    coeffs = build_coefficients(math.exp(c0), 1.0, grid)
     return ModelParams(r=r, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
 
 

@@ -309,8 +309,9 @@ class TestSweep:
                      "--set", f"task.r_list={r_text}"])
         assert code == 0
         reference = tmp_path / "reference.csv"
-        reference_sweep(reference, load_config(str(config)).model,
-                        cells_by_r, r_list)
+        model = load_config(str(config),
+                            overrides={("task", "r_list"): r_text}).model
+        reference_sweep(reference, model, cells_by_r, r_list)
         return (out / "sweep.csv").read_bytes(), reference.read_bytes()
 
     def test_real_rows_with_stall(self, tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Grid quadrature, nonlinearity derivatives, coefficient specs, model data."""
+"""Grid quadrature, nonlinearity derivatives, coefficient values, model data."""
 
 import math
 
@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nicholson.config import read_coefficient_csv
 from nicholson.grid import Grid1D, spatial_average
 from nicholson.model import (
-    CoefficientSpec,
     ModelParams,
     build_coefficients,
+    coefficient_values,
     eval_nonlinearity,
 )
 
@@ -137,30 +138,26 @@ class TestNonlinearity:
             eval_nonlinearity(1.0, order=4)
 
 
-class TestCoefficientSpec:
+class TestCoefficientValues:
     def test_parse_sinusoid(self):
-        spec = CoefficientSpec.parse("10 + 1*sin(1*x + 0)")
         grid = Grid1D(length=3.0, n_points=31)
-        values = spec.sample(grid)
+        values = coefficient_values("10 + 1*sin(1*x + 0)", grid)
         assert values[0] == pytest.approx(10.0)
         assert values.max() <= 11.0
 
     def test_parse_cosine_and_scalar(self):
         grid = Grid1D(length=3.0, n_points=31)
-        cos_spec = CoefficientSpec.parse("2 + 1*cos(0.2*x + 0)")
-        assert cos_spec.sample(grid)[0] == pytest.approx(3.0)
-        const = CoefficientSpec.parse("4.25")
-        assert np.all(const.sample(grid) == 4.25)
+        assert coefficient_values("2 + 1*cos(0.2*x + 0)", grid)[0] == pytest.approx(3.0)
+        assert np.all(coefficient_values("4.25", grid) == 4.25)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError, match="coefficient"):
-            CoefficientSpec.parse("10 * tan(x)")
+            coefficient_values("10 * tan(x)", Grid1D(length=1.0, n_points=5))
 
     def test_from_samples_roundtrip(self):
         grid = Grid1D(length=1.0, n_points=9)
         values = 1.0 + grid.nodes**2
-        spec = CoefficientSpec.from_samples(values)
-        assert np.allclose(spec.sample(grid), values)
+        assert np.allclose(coefficient_values(values, grid), values)
 
     def test_csv_roundtrip(self, tmp_path):
         grid = Grid1D(length=1.0, n_points=9)
@@ -170,8 +167,7 @@ class TestCoefficientSpec:
             f"{x:.12g},{v:.12g}" for x, v in zip(grid.nodes, values)
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        spec = CoefficientSpec.from_csv(path, grid)
-        assert np.allclose(spec.sample(grid), values, atol=1e-12)
+        assert np.allclose(read_coefficient_csv(path, grid), values, atol=1e-12)
 
     def test_csv_rejects_wrong_nodes(self, tmp_path):
         grid = Grid1D(length=1.0, n_points=5)
@@ -179,7 +175,32 @@ class TestCoefficientSpec:
         path.write_text("x,value\n0,1\n0.3,1\n0.5,1\n0.75,1\n1,1\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match="nodes"):
-            CoefficientSpec.from_csv(path, grid)
+            read_coefficient_csv(path, grid)
+
+    @pytest.mark.parametrize("text, wave, phase", [
+        ("2 + 0.5*sin(1.5*x - 0.25)", np.sin, -0.25),
+        ("2 + 0.5*cos(1.5*x + 0.25)", np.cos, 0.25),
+    ])
+    def test_phase_sign_and_cos_are_bit_exact(self, text, wave, phase):
+        grid = Grid1D(length=3.0, n_points=31)
+        expected = 2.0 + 0.5 * wave(1.5 * grid.nodes + phase)
+        assert np.array_equal(coefficient_values(text, grid), expected)
+
+    @pytest.mark.parametrize("size", [20, 22])
+    def test_nodal_values_of_the_wrong_size_are_refused(self, size):
+        grid = Grid1D(length=2.0, n_points=21)
+        with pytest.raises(ValueError, match=rf"\({size},\).*\b21 nodes"):
+            coefficient_values(np.ones(size), grid)
+
+    def test_build_coefficients_leaves_the_callers_array_alone(self):
+        grid = Grid1D(length=2.0, n_points=21)
+        samples = 1.0 + grid.nodes
+        coeffs = build_coefficients(samples, 1.0, grid)
+        assert not coeffs.p.flags.writeable
+        assert samples.flags.writeable
+        assert not np.shares_memory(coeffs.p, samples)
+        samples[0] = 5.0
+        assert coeffs.p[0] == 1.0
 
 
 class TestBuildCoefficients:
@@ -193,10 +214,7 @@ class TestBuildCoefficients:
 
     def test_c0_exact_for_constants(self):
         grid = Grid1D(length=2.0, n_points=21)
-        coeffs = build_coefficients(
-            CoefficientSpec.constant(math.e**2), CoefficientSpec.constant(1.0),
-            grid,
-        )
+        coeffs = build_coefficients(math.e**2, 1.0, grid)
         assert coeffs.c0 == pytest.approx(2.0, abs=1e-14)
 
     def test_rejects_nonpositive(self):
@@ -204,11 +222,7 @@ class TestBuildCoefficients:
         samples = np.ones(21)
         samples[10] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            build_coefficients(
-                CoefficientSpec.from_samples(samples),
-                CoefficientSpec.constant(1.0),
-                grid,
-            )
+            build_coefficients(samples, 1.0, grid)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_nonfinite(self, bad):
@@ -216,22 +230,14 @@ class TestBuildCoefficients:
         samples = np.ones(21)
         samples[10] = bad
         with pytest.raises(ValueError, match="coefficient delta must be finite"):
-            build_coefficients(
-                CoefficientSpec.constant(1.0),
-                CoefficientSpec.from_samples(samples),
-                grid,
-            )
+            build_coefficients(1.0, samples, grid)
 
     @given(st.floats(min_value=0.1, max_value=50.0),
            st.floats(min_value=0.1, max_value=50.0))
     @settings(max_examples=40, deadline=None)
     def test_c0_is_log_ratio(self, p_bar, delta_bar):
         grid = Grid1D(length=1.0, n_points=11)
-        coeffs = build_coefficients(
-            CoefficientSpec.constant(p_bar),
-            CoefficientSpec.constant(delta_bar),
-            grid,
-        )
+        coeffs = build_coefficients(p_bar, delta_bar, grid)
         assert coeffs.c0 == pytest.approx(math.log(p_bar / delta_bar),
                                           abs=1e-12)
 

@@ -25,7 +25,7 @@ from nicholson.hopf import (
     transversality,
     write_hopf_csv,
 )
-from nicholson.model import CoefficientSpec, ModelParams, build_coefficients
+from nicholson.model import ModelParams, build_coefficients
 from nicholson.steady import solve_steady_state
 
 from conftest import (
@@ -280,8 +280,7 @@ class TestContinuation:
 
 
 def spec_model(p: str, delta: str, grid: Grid1D, r: float) -> ModelParams:
-    coeffs = build_coefficients(CoefficientSpec.parse(p),
-                                CoefficientSpec.parse(delta), grid)
+    coeffs = build_coefficients(p, delta, grid)
     return ModelParams(r=r, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
 
 

@@ -14,7 +14,6 @@ from nicholson import grid as grid_module, normalform
 from nicholson.grid import Grid1D
 from nicholson.hopf import HopfSolution, continue_hopf, limit_phase
 from nicholson.model import (
-    CoefficientSpec,
     ModelParams,
     build_coefficients,
     eval_nonlinearity,
@@ -279,11 +278,7 @@ class TestResonanceGuard:
         # genuinely singular and must be refused, not silently returned
         n = 101
         grid = Grid1D(length=math.pi, n_points=n)
-        coeffs = build_coefficients(
-            CoefficientSpec.constant(math.exp(3.0)),
-            CoefficientSpec.constant(1.0),
-            grid,
-        )
+        coeffs = build_coefficients(math.exp(3.0), 1.0, grid)
         model = ModelParams(r=1.0, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
         h = grid.spacing
         eigenvalue = (2.0 / h**2) * (1.0 - math.cos(math.pi * h / grid.length))

@@ -11,9 +11,7 @@ from scipy.sparse.linalg import spsolve
 import nicholson.steady as steady_module
 from nicholson.grid import Grid1D
 from nicholson.hopf import continue_hopf
-from nicholson.model import (
-    CoefficientSpec, ModelParams, build_coefficients, eval_nonlinearity,
-)
+from nicholson.model import ModelParams, build_coefficients, eval_nonlinearity
 from nicholson.steady import (
     NewtonConvergenceError,
     solve_steady_state,
@@ -285,9 +283,7 @@ class TestErrorPaths:
 
     def test_rejects_nonpositive_c0(self):
         grid = Grid1D(length=1.0, n_points=21)
-        coeffs = build_coefficients(
-            CoefficientSpec.constant(1.0), CoefficientSpec.constant(2.0), grid
-        )
+        coeffs = build_coefficients(1.0, 2.0, grid)
         model = ModelParams(r=1.0, a=1.0, tau=0.0, grid=grid, coeffs=coeffs)
         with pytest.raises(ValueError, match="c0"):
             solve_steady_state(model)
@@ -309,8 +305,8 @@ class TestPositivityProperty:
     def test_solution_positive_for_sinusoid_families(self, base, amp, r):
         grid = Grid1D(length=3.0, n_points=101)
         coeffs = build_coefficients(
-            CoefficientSpec.sinusoid(base, amp, 1.0, kind="sin"),
-            CoefficientSpec.sinusoid(2.0, 1.0, 0.2, kind="cos"),
+            base + amp * np.sin(1.0 * grid.nodes + 0.0),
+            2.0 + 1.0 * np.cos(0.2 * grid.nodes + 0.0),
             grid,
         )
         model = ModelParams(r=r, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)
@@ -326,8 +322,8 @@ class TestPositivityProperty:
         # supersolution max log(p / delta)
         grid = Grid1D(length=3.0, n_points=101)
         coeffs = build_coefficients(
-            CoefficientSpec.sinusoid(2.625, 0.5, 1.0, kind="sin"),
-            CoefficientSpec.sinusoid(2.0, 1.0, 0.2, kind="cos"),
+            2.625 + 0.5 * np.sin(1.0 * grid.nodes + 0.0),
+            2.0 + 1.0 * np.cos(0.2 * grid.nodes + 0.0),
             grid,
         )
         model = ModelParams(r=3.0, a=2.5, tau=0.0, grid=grid, coeffs=coeffs)

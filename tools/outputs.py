@@ -13,7 +13,10 @@ read only:
 
 - ``reproduce fig1`` and ``reproduce fig2``;
 - fig. 2 at n = 301: ``steady``, ``hopf`` and ``normalform`` with
-  ``n_max = 3``, ``sweep`` over r = 0.5..0.001, and ``simulate`` (with
+  ``n_max = 3``, ``steady`` again with p read from an ``x,value`` CSV
+  written at ``%.17g`` from the first run's nodal values (so its
+  ``steady.csv`` matches that run's byte for byte), ``sweep`` over
+  r = 0.5..0.001, and ``simulate`` (with
   snapshots) and ``average-dde`` at 0, 0.95 and 1.05 ``tau_hat_0``, the
   threshold of that ``hopf`` run;
 - benchmark seeds 1 and 2: ``steady``, ``hopf`` and ``normalform`` at
@@ -64,6 +67,7 @@ def run(out_dir: Path, src: Path = ROOT / "src") -> int:
     """Run the matrix into ``out_dir``; returns how many runs exited nonzero."""
     sys.path[:0] = [str(src), str(ROOT)]
     cli = importlib.import_module("nicholson.cli")
+    config = importlib.import_module("nicholson.config")
     workloads = importlib.import_module("perfbench.workloads")
     figure2 = workloads.Coefficients(phase=0.0, amplitude=1.0)
     out_dir.mkdir(parents=True)  # a fresh directory: diff reads every file
@@ -89,6 +93,16 @@ def run(out_dir: Path, src: Path = ROOT / "src") -> int:
         return workloads.config_text(figure2, FIG2_GRID, task, **options)
 
     once("fig2-steady", "steady", fig2("steady"))
+    # the CSV route: the path goes in by --set, so that the .cfg file is the
+    # same whatever DIR is
+    model = config.load_config(out_dir / "fig2-steady.cfg").model
+    p_csv = out_dir / "fig2-steady-csv-p.csv"
+    p_csv.write_text("x,value\n" + "".join(
+        f"{x:.17g},{p:.17g}\n" for x, p in zip(model.grid.nodes, model.coeffs.p)),
+        encoding="utf-8")
+    once("fig2-steady-csv", "steady",
+         fig2("steady").replace(f"p = {figure2.p_text}\n", ""),
+         extra=("--set", f"model.p_csv={p_csv}"))
     hopf = once("fig2-hopf", "hopf", fig2("hopf", n_max=3))
     once("fig2-normalform", "normalform", fig2("normalform", n_max=3))
     once("fig2-sweep", "sweep", fig2("sweep", r_list=FIG2_R_LIST))
