@@ -120,35 +120,36 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
     after the delayed one it read.  ``advance(current, births, out)``
     writes the states of the steps in ``out`` and returns the last; the
     births ``gain*v*exp(-a*v)`` of a step come from its delayed state v.
-    With a delay, the births of the next n_delay + 1 steps take one call
-    and ``births`` is their array; at zero delay ``births`` is the birth
-    function ``births(v, out=None, scratch=None)``, which ``advance``
-    applies to the state it has just written.
-    The blow-up test (a largest magnitude not at most ``threshold`` raises
-    :class:`BlowUpError`), ``observe`` and the snapshots run on blocks of
-    up to ``_CHUNK`` states, for which a short delay gets a longer ring.
-    A run whose ``n_steps + 1`` times and means cannot be allocated is a
+    With a delay, the births of the next n_delay + 1 steps take one call,
+    into a buffer made once per run, and ``births`` is that array of
+    them; at zero delay ``births`` is the birth function
+    ``births(v, out=None, scratch=None)``, which ``advance`` applies to
+    the state it has just written.  The blow-up test (a largest magnitude
+    not at most ``threshold`` raises :class:`BlowUpError`, dated at the
+    first such state), ``observe`` and the snapshots run on blocks of up
+    to ``_CHUNK`` states, for which a short delay gets a longer ring.  A
+    run whose ``n_steps + 1`` times and means cannot be allocated is a
     ValueError.
     """
     neg_a = np.array(-a)  # a ufunc takes a 0-d array faster than a float
 
     def births(v, out=None, scratch=None):
-        # the same arithmetic every way; arrays out and scratch of v's
+        # the same arithmetic either way: arrays out and scratch of v's
         # shape take the births and the exponential without allocating,
-        # and a float v gets a float back, whose arithmetic is faster than
-        # np.float64's
-        if out is not None:
-            np.exp(np.multiply(v, neg_a, scratch), scratch)
-            return np.multiply(np.multiply(gain, v, out), scratch, out)
-        if isinstance(v, float):
+        # and a float v (the scalar equation at zero delay) gets a float
+        # back, whose arithmetic is faster than np.float64's
+        if out is None:
             return gain * v * float(np.exp(-a * v))
-        return gain * v * np.exp(-a * v)
+        np.exp(np.multiply(v, neg_a, scratch), scratch)
+        return np.multiply(np.multiply(gain, v, out), scratch, out)
 
     stride = snapshot_stride or 0
     if stride < 0:
         raise ValueError(f"snapshot_stride must be nonnegative, got {stride}")
     depth = n_delay + 1
     ring = np.empty((depth * max(1, _CHUNK // depth), *shape))
+    # the births of one delayed block and their exponential, allocated once
+    block_births, block_scratch = np.empty((2, min(depth, _CHUNK), *shape))
     for row in range(depth):
         ring[row] = history((row - n_delay) * dt)
     if not (ring[:depth].min() > 0 and ring[:depth].max() < math.inf):
@@ -174,14 +175,18 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
             if n_delay:
                 for row in range(start, end, depth):
                     read = (row - depth) % len(ring)
-                    delayed = ring[read:read + min(depth, end - row)]
-                    current = advance(current, births(delayed),
-                                      ring[row:row + len(delayed)])
+                    size = min(depth, end - row)
+                    born = births(ring[read:read + size],
+                                  block_births[:size], block_scratch[:size])
+                    current = advance(current, born, ring[row:row + size])
             else:
                 current = advance(current, births, ring[start:end])
             block = ring[start:end]
-            bad = ~(np.abs(block).reshape(len(block), -1).max(axis=1) <= threshold)
-            if bad.any():
+            # one pass each for the extremes; NaN fails it, and only a
+            # failed block pays for the row-wise pass that dates the step
+            if not (block.max() <= threshold and block.min() >= -threshold):
+                bad = ~(np.abs(block).reshape(len(block), -1).max(axis=1)
+                        <= threshold)
                 t = (step + 1 + int(bad.argmax())) * dt
                 raise BlowUpError(
                     f"solution exceeded {threshold:.3g} at t = {t:.6g}", time=t
@@ -261,17 +266,25 @@ def simulate_pde(
               else (lambda t: history))
 
     solve = grid.laplacian.weighted_factor(-0.5 * dt * model.d)
+    pttrs, (diag, offdiag) = solve.func, solve.args  # no partial per step
     weights = grid.laplacian.symmetrizer  # the W of weighted_factor
     keep = weights * (2.0 - dt * model.coeffs.delta)
     rhs, birth, scratch = np.empty((3, grid.n_points))
 
     def advance(current, births, out):
-        for k, row in enumerate(out):
-            np.multiply(keep, current, rhs)
-            np.add(rhs, births[k] if n_delay
-                   else births(current, birth, scratch), rhs)
-            np.subtract(solve(rhs, True)[0], current, row)  # True: overwrite rhs
-            current = row
+        # True: the solution overwrites rhs
+        if n_delay:
+            for born, row in zip(births, out):
+                np.multiply(keep, current, rhs)
+                np.add(rhs, born, rhs)
+                np.subtract(pttrs(diag, offdiag, rhs, True)[0], current, row)
+                current = row
+        else:
+            for row in out:
+                np.multiply(keep, current, rhs)
+                np.add(rhs, births(current, birth, scratch), rhs)
+                np.subtract(pttrs(diag, offdiag, rhs, True)[0], current, row)
+                current = row
         return current
 
     times, means, snapshots = _march(

@@ -2,11 +2,14 @@
 
 import ast
 import contextlib
+import functools
 import importlib.machinery
 import inspect
 import io
 import math
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -38,6 +41,7 @@ from nicholson.hopf import (
 )
 from nicholson.normalform import normal_form_report, write_normalform_csv
 from nicholson.grid import DiscreteLaplacian
+from nicholson.simulate import BlowUpError
 
 import oracles
 
@@ -484,8 +488,25 @@ class TestTaskRuns:
         assert "within 1e-3: OK" in text
         assert "tau_hat0_verdict = settled" in text
         assert "tau_hat2_verdict = oscillating" in text
-        assert (out / "trace_tau0.csv").exists()
-        assert (out / "trace_tau2.csv").exists()
+        # the same bytes as the two delays run here, one after the other
+        expected = tmp_path / "sequential"
+        expected.mkdir()
+        summary = []
+        for tau_hat in (0.0, 2.0):
+            config = cli._reproduce_config("fig2", tau_hat, 61)
+            trace = cli._simulate(config)
+            cli.write_trace_csv(expected / f"trace_tau{tau_hat:g}.csv", trace)
+            summary.extend(cli._verdict_lines(
+                f"tau_hat{tau_hat:g}_", trace, config.options["tail_fraction"]))
+        c0 = config.model.coeffs.c0  # the delays share the coefficients
+        summary.insert(0, f"c0 = {c0:.12g} (reference 2.3443, |diff| = "
+                          f"{abs(c0 - 2.3443):.3g}, within 1e-3: OK)")
+        (expected / "summary.txt").write_text("\n".join(summary) + "\n")
+        for name in ("trace_tau0.csv", "trace_tau2.csv", "summary.txt"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+        files = (out / "manifest.txt").read_text().split("# files\n")[1]
+        assert files.split() == ["trace_tau0.csv", "trace_tau2.csv",
+                                 "summary.txt", "manifest.txt"]
 
 
 def read_table(path, skip=0) -> list:
@@ -658,8 +679,6 @@ class TestExitCodes:
 
     def test_solver_error_is_two(self, tmp_path, fig2_config, monkeypatch,
                                  capsys):
-        import functools
-
         import nicholson.cli as cli_module
 
         @functools.wraps(cli_module.continue_hopf)
@@ -682,6 +701,44 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "simulate.simulate_pde" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+    @pytest.mark.parametrize("failing", [(0.0,), (2.0,), (0.0, 2.0)],
+                             ids=["worker", "parent", "both"])
+    def test_reproduce_blowup_is_three(self, tmp_path, monkeypatch, capfd,
+                                       failing, fork):
+        # with fork, tau_hat = 0 runs in the worker and tau_hat = 2 here;
+        # either way the failure reported is the one met first in the
+        # order 0, 2, and no process is left behind.  capfd also sees
+        # what a worker writes
+        real = cli.simulate_pde
+
+        @functools.wraps(real)
+        def blow_up(model, **kwargs):
+            if model.tau_hat in failing:
+                raise BlowUpError(f"forced at tau_hat {model.tau_hat:g}", time=1.0)
+            return real(model, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_pde", blow_up)
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        code = main(["reproduce", "fig2", "--grid", "61",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capfd.readouterr().err
+        assert err.splitlines() == [
+            f"error: simulate.simulate_pde: forced at tau_hat {failing[0]:g}"
+        ], err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "summary.txt").exists()
+
+    def test_task_failure_pickles(self):
+        failure = pickle.loads(pickle.dumps(
+            cli.TaskFailure(cli.EXIT_BLOWUP, "simulate.simulate_pde: boom")))
+        assert isinstance(failure, cli.TaskFailure)
+        assert failure.exit_code == cli.EXIT_BLOWUP
+        assert str(failure) == "simulate.simulate_pde: boom"
 
     def test_scalar_overflow_is_three(self, tmp_path, fig2_config, capsys):
         out = tmp_path / "overflow"
@@ -1080,7 +1137,8 @@ class TestConsoleScript:
         # scipy.linalg's package init imports the numpy submodules below
         heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate",
                  "scipy.sparse", "scipy.linalg", "numpy.f2py",
-                 "numpy.testing", "numpy.ma", "numpy.random")
+                 "numpy.testing", "numpy.ma", "numpy.random",
+                 "multiprocessing", "concurrent.futures")
         code = ("import sys, nicholson.cli; "
                 f"print(*[m for m in {heavy!r} if m in sys.modules])")
         result = subprocess.run([sys.executable, "-c", code],
