@@ -295,6 +295,11 @@ def _task_options(task: str, table: dict, model: ModelParams) -> dict:
                 f"task.dt = {options['dt']:.6g}; the step would shrink to "
                 "the delay. Use a zero delay, a longer one or a smaller dt."
             )
+    # the steady state, which is also the simulators' default start
+    if (task in ("steady", "simulate", "average-dde") and model.coeffs.c0 <= 0
+            and options.get("history") is None):
+        raise ConfigError(f"model.p and model.delta give c0 = {model.coeffs.c0:.6g}"
+                          " <= 0: no positive steady state exists")
     return options
 
 

@@ -184,7 +184,7 @@ def solve_poisson_meanzero(
     return z
 
 
-def _limit_state(coeffs: CoefficientField, grid: Grid1D):
+def _limit_state(model: ModelParams):
     """Closed-form r -> 0 crossing (z, beta, omega, theta) for c0 > 2.
 
     theta0 and omega0 depend only on c0 and mean(delta), beta is 1, and the
@@ -199,21 +199,18 @@ def _limit_state(coeffs: CoefficientField, grid: Grid1D):
         If c0 <= 2 (covers both the stable regime 0 < c0 <= 2 and the
         regime c0 <= 0 without positive steady states).
     """
+    coeffs = model.coeffs
     c0 = coeffs.c0
     theta = limit_phase(c0)
     omega = coeffs.delta_bar * math.sqrt(c0 * c0 - 2.0 * c0)
     fprime = eval_nonlinearity(c0, order=1)
-    rhs = -c0 * (
-        np.exp(-1j * theta) * coeffs.p * fprime
-        - coeffs.delta
-        - 1j * omega
-    )
+    rhs = -c0 * model.coupling(c0, np.exp(-1j * theta), 1j * omega)
     # The rhs is a difference of O(c0 * delta_bar) terms; for constant
     # coefficients it cancels to pure roundoff, which must count as zero.
     scale = c0 * float(
         np.abs(coeffs.p * fprime).max() + np.abs(coeffs.delta).max() + omega
     )
-    return solve_poisson_meanzero(rhs, grid, scale=scale), 1.0, omega, theta
+    return solve_poisson_meanzero(rhs, model.grid, scale=scale), 1.0, omega, theta
 
 
 _DEFLATED_NODE = 1  # k of the rank-one deflation; interior on every grid
@@ -296,7 +293,7 @@ def _hopf_residual(state, model, u):
     c0 = coeffs.c0
     laplacian = model.grid.laplacian
     fprime = eval_nonlinearity(u, order=1)
-    coupling = np.exp(-1j * theta) * coeffs.p * fprime - coeffs.delta - 1j * omega
+    coupling = model.coupling(u, np.exp(-1j * theta), 1j * omega)
     psi = beta * c0 + model.r * z
     g1 = laplacian.apply(z) + coupling * psi
     weights = model.grid.weights
@@ -392,9 +389,9 @@ def continue_hopf(model: ModelParams, r_cap: float = 0.5) -> HopfSolution:
         Supplies grid, coefficients, a and r, which must be at most
         ``r_cap``.
     r_cap : float
-        Guard rail for the validated small-r regime.  Raise it explicitly
-        to explore further; expect failures once eigenvalue crossings lose
-        simplicity.
+        Refuses a larger r, but guards against no known failure: at
+        r L^2 >= 13 Newton can converge, also inside the default cap, to a
+        crossing that is not the first.  Nothing checks for that yet.
 
     Raises
     ------
@@ -403,7 +400,6 @@ def continue_hopf(model: ModelParams, r_cap: float = 0.5) -> HopfSolution:
     CrossingError
         If the steady or the Hopf Newton solve fails.
     """
-    coeffs = model.coeffs
     r = model.r
     if not r <= r_cap:
         raise ValueError(
@@ -411,8 +407,8 @@ def continue_hopf(model: ModelParams, r_cap: float = 0.5) -> HopfSolution:
             f"{r_cap:.6g}; pass a larger r_cap explicitly to go beyond the "
             "validated regime"
         )
-    state = _limit_state(coeffs, model.grid)
-    u = np.full(model.grid.n_points, coeffs.c0)
+    state = _limit_state(model)
+    u = np.full(model.grid.n_points, model.coeffs.c0)
     if r > 0:
         try:
             u = solve_steady_state(model).u
@@ -441,14 +437,8 @@ def continue_hopf(model: ModelParams, r_cap: float = 0.5) -> HopfSolution:
     )
 
 
-def nondegeneracy_integral(sol: HopfSolution, n: int = 0) -> complex:
-    """Pairing integral certifying simplicity of the crossing eigenvalue.
-
-    S_n = int(psi^2) + tau_hat_n e^{-i theta} int(p f'(u_r) psi^2); it
-    normalizes the adjoint pairing in the normal-form computation and must
-    stay away from zero for the crossing to be simple.  Emits a
-    :class:`SimplicityWarning` when |S_n| < 1e-8 * c0^2 * |Omega|.
-    """
+def _pairings(sol: HopfSolution, n: int):
+    """(S_n, D) with D = int(p f'(u_r) psi^2); warns at its caller's caller."""
     grid = sol.model.grid
     coeffs = sol.model.coeffs
     tau_hat_n = sol.tau_hat_n(n)
@@ -462,9 +452,20 @@ def nondegeneracy_integral(sol: HopfSolution, n: int = 0) -> complex:
             f"nondegeneracy integral nearly vanishes (|S_{n}| = {abs(value):.3e}); "
             "the crossing eigenvalue may not be simple",
             SimplicityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return complex(value)
+    return complex(value), delayed
+
+
+def nondegeneracy_integral(sol: HopfSolution, n: int = 0) -> complex:
+    """Pairing integral certifying simplicity of the crossing eigenvalue.
+
+    S_n = int(psi^2) + tau_hat_n e^{-i theta} int(p f'(u_r) psi^2); it
+    normalizes the adjoint pairing in the normal-form computation and must
+    stay away from zero for the crossing to be simple.  Emits a
+    :class:`SimplicityWarning` when |S_n| < 1e-8 * c0^2 * |Omega|.
+    """
+    return _pairings(sol, n)[0]
 
 
 def limit_nondegeneracy_integral(c0: float, volume: float, n: int = 0) -> complex:
@@ -492,12 +493,7 @@ def transversality(sol: HopfSolution, n: int = 0) -> complex:
     """
     if sol.r <= 0:
         raise ValueError("transversality is defined along the branch for r > 0")
-    grid = sol.model.grid
-    coeffs = sol.model.coeffs
-    s_n = nondegeneracy_integral(sol, n)
-    delayed = grid.weights @ (
-        coeffs.p * eval_nonlinearity(sol.u, order=1) * sol.psi * sol.psi
-    )
+    s_n, delayed = _pairings(sol, n)
     dmu = 1j * sol.nu * sol.r * np.exp(-1j * sol.theta) * delayed / (-s_n)
     if dmu.real <= 0:
         raise RuntimeError(

@@ -206,6 +206,13 @@ class ModelParams:
         """Delay of the unnormalized model, ``r * tau``."""
         return self.r * self.tau
 
+    def coupling(self, u, delay_factor, rate):
+        """``delay_factor p f'(u) - delta - rate``: the linearization about ``u``
+        has the eigenvalue operator M(mu, tau) = L + r diag(coupling(u, e^{-mu
+        tau}, mu / r)), which the steady, Hopf and normal-form solves factor."""
+        return (delay_factor * self.coeffs.p * eval_nonlinearity(u, order=1)
+                - self.coeffs.delta - rate)
+
     def with_r(self, r: float, tau: float | None = None) -> "ModelParams":
         """Copy of the bundle at a different r (and optionally delay)."""
         return ModelParams(

@@ -34,7 +34,7 @@ from .hopf import (
     nondegeneracy_integral,
     transversality,
 )
-from .model import ModelParams, eval_nonlinearity
+from .model import eval_nonlinearity
 from .table import write_table
 
 
@@ -74,25 +74,18 @@ class NormalFormReport:
     note: str
 
 
-def _delay_shift(model: ModelParams, u: np.ndarray, mu: complex, tau: float):
-    """Diagonal r e^{-mu tau} p f'(u) - r delta - mu of the eigenvalue operator."""
-    coeffs = model.coeffs
-    return (model.r * np.exp(-mu * tau) * coeffs.p * eval_nonlinearity(u, order=1)
-            - model.r * coeffs.delta - mu)
-
-
 def _solve_shifted(sol: HopfSolution, mu: complex, tau: float, rhs: np.ndarray,
                    label: str) -> np.ndarray:
     """Solve the shifted eigenvalue system with a conditioning guard.
 
-    The operator L + diag(r e^{-mu tau} p f'(u) - r delta - mu) is
-    tridiagonal.  One ``zgttrf`` factor serves the guard, LAPACK's 1-norm
-    estimate ``1/rcond`` (``zgtcon``; refused above 1e12 or at a zero pivot),
-    and the ``zgttrs`` solve, which needs no refinement pass.  The cost is
-    linear in the number of nodes.
+    The operator L + r diag(coupling(u, e^{-mu tau}, mu / r)) is tridiagonal
+    (:meth:`~nicholson.model.ModelParams.coupling`).  One ``zgttrf`` factor
+    serves the guard, LAPACK's 1-norm estimate ``1/rcond`` (``zgtcon``;
+    refused above 1e12 or at a zero pivot), and the ``zgttrs`` solve, which
+    needs no refinement pass.  The cost is linear in the number of nodes.
     """
     laplacian = sol.model.grid.laplacian
-    shift = _delay_shift(sol.model, sol.u, mu, tau)
+    shift = sol.r * sol.model.coupling(sol.u, np.exp(-mu * tau), mu / sol.r)
     try:
         solve = laplacian.factor(shift)
     except np.linalg.LinAlgError:

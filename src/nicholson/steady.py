@@ -132,7 +132,6 @@ def solve_steady_state(model: ModelParams,
 
 def _newton(model: ModelParams, u: np.ndarray) -> SteadyState:
     """The damped Newton iteration of :func:`solve_steady_state` from ``u``."""
-    coeffs = model.coeffs
     slides = 0
     residual = steady_residual(u, model)
     res_norm = float(np.abs(residual).max())
@@ -147,9 +146,9 @@ def _newton(model: ModelParams, u: np.ndarray) -> SteadyState:
         )
 
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        slope = coeffs.p * eval_nonlinearity(u, order=1) - coeffs.delta
         try:
-            step = model.grid.laplacian.factor(model.r * slope)(-residual)[0]
+            step = model.grid.laplacian.factor(
+                model.r * model.coupling(u, 1.0, 0.0))(-residual)[0]
         except np.linalg.LinAlgError as exc:
             if res_norm > floor:
                 raise failure(f"Jacobian: {exc}", iteration,

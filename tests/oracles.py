@@ -167,7 +167,7 @@ def stepped_crossing(model, max_step: float = 0.025):
     the crossing from the previous state.  No sign or phase normalization.
     """
     steps = max(1, math.ceil(model.r / max_step))
-    state = _limit_state(model.coeffs, model.grid)
+    state = _limit_state(model)
     u = np.full(model.grid.n_points, model.coeffs.c0)
     for k in range(1, steps + 1):
         stage = model.with_r(model.r * k / steps)

@@ -617,6 +617,20 @@ class TestExitCodes:
         assert "'tend'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["steady", "simulate", "average-dde"])
+    def test_no_positive_steady_state_names_the_coefficients(
+            self, tmp_path, fig2_config, no_solver, capsys, task):
+        code, out = run_with(tmp_path, task, ["model.p=2", "model.delta=2"],
+                             fig2_config)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: model.p and model.delta give c0 = 0 <= 0")
+        assert not out.exists()
+        if task != "steady":  # a given history needs no steady state
+            load_config(fig2_config, overrides={
+                ("task", "name"): task, ("model", "p"): "2",
+                ("model", "delta"): "2", ("task", "history"): "1"})
+
     def test_reproduce_rejects_a_two_point_grid(self, tmp_path, monkeypatch,
                                                 capsys):
         # the grid is refused before the output directory exists; a zero
@@ -919,8 +933,10 @@ class TestExitCodeContract:
              amplitudes=(4.534752373366915 / 27.962278844698346,
                          2.1039801771886157 / 3.0065031363280004),
              waves=(3.1842066107488622, 1.0034166676397875),
-             phase=3.155185569431458)
-    @given(task=st.sampled_from(["hopf", "normalform", "sweep"]),
+             phase=3.155185569431458, t_end=1.0, tau_check=0.0)
+    # average-dde stops at t_end <= 50, so no draw stores more than 5e4 steps
+    @given(task=st.sampled_from(["hopf", "normalform", "sweep", "steady",
+                                 "average-dde"]),
            n=st.sampled_from([3, 4, 5, 11, 41]),
            length=st.floats(math.log(0.1), math.log(100.0)).map(math.exp),
            r=st.floats(math.log(1e-4), math.log(0.5)).map(math.exp),
@@ -928,10 +944,13 @@ class TestExitCodeContract:
            delta_base=st.floats(0.5, 5.0),
            amplitudes=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
            waves=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
-           phase=st.floats(0.0, 2.0 * math.pi))
-    @settings(max_examples=150, deadline=None)
+           phase=st.floats(0.0, 2.0 * math.pi),
+           t_end=st.floats(math.log(1e-2), math.log(50.0)).map(math.exp),
+           tau_check=st.floats(0.0, 5.0))
+    @settings(max_examples=250, deadline=None)
     def test_every_exit_is_documented(self, task, n, length, r, log_ratio,
-                                      delta_base, amplitudes, waves, phase):
+                                      delta_base, amplitudes, waves, phase,
+                                      t_end, tau_check):
         p_base = delta_base * math.exp(log_ratio)
         overrides = [
             f"model.length={length!r}", "model.a=2.5", f"model.r={r!r}",
@@ -943,6 +962,8 @@ class TestExitCodeContract:
         ]
         if task == "sweep":
             overrides.append(f"task.r_list={r!r},{r / 10.0!r}")
+        if task == "average-dde":
+            overrides += [f"task.t_end={t_end!r}", f"task.tau_check={tau_check!r}"]
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             # Re C1 > 0 and a nearly degenerate crossing warn by design

@@ -16,7 +16,13 @@ from nicholson.model import (
     eval_nonlinearity,
 )
 
-from conftest import FIG1_P, FIG2_P, FIG_DELTA, figure_model
+from conftest import (
+    FIG1_P,
+    FIG2_P,
+    FIG_DELTA,
+    characteristic_matrix,
+    figure_model,
+)
 
 
 class TestGrid:
@@ -280,3 +286,26 @@ class TestModelParams:
     def test_zero_r_and_tau_are_accepted(self, fig2_model):
         model = fig2_model.with_r(0.0, tau=0.0)
         assert (model.r, model.tau, model.d) == (0.0, 0.0, math.inf)
+
+    @pytest.mark.parametrize("harmonic", [0, 1, 2])
+    def test_coupling_is_the_dense_operators_diagonal(self, fig2_branch,
+                                                      harmonic):
+        # M(mu, tau_0) = L + r coupling(u, e^{-mu tau_0}, mu / r) at the
+        # three shifts that the solvers factor: mu = 0, i nu and 2 i nu
+        sol = fig2_branch[1e-2]
+        model, u, r = sol.model, sol.u, sol.r
+        mu, tau_0 = harmonic * 1j * sol.nu, sol.tau_n(0)
+        laplacian = model.grid.laplacian
+        delay = np.exp(-mu * tau_0)
+        diagonal = laplacian.main + r * model.coupling(u, delay, mu / r)
+        dense = np.diag(characteristic_matrix(model, u, mu, tau_0))
+        terms = (np.abs(laplacian.main) + abs(mu) + r * model.coeffs.delta
+                 + r * model.coeffs.p * np.abs(eval_nonlinearity(u, order=1)))
+        assert np.all(np.abs(diagonal - dense) <= 4 * np.finfo(float).eps * terms)
+
+    def test_steady_coupling_is_the_jacobian_bit_for_bit(self, fig2_branch):
+        sol = fig2_branch[1e-2]
+        coeffs, u, r = sol.model.coeffs, sol.u, sol.r
+        slope = coeffs.p * eval_nonlinearity(u, order=1) - coeffs.delta
+        np.testing.assert_array_equal(r * sol.model.coupling(u, 1.0, 0.0),
+                                      r * slope)

@@ -1,5 +1,6 @@
 """Hopf crossing solver: closed forms, the crossing at r, thresholds, pairing."""
 
+import contextlib
 import math
 import warnings
 
@@ -476,9 +477,14 @@ class TestNondegeneracyIntegral:
         # S_0 cancels to roundoff; S_1 does not
         p = math.exp(3.0)
         sol = rigged_crossing(math.pi, math.pi * p)
-        with pytest.warns(SimplicityWarning, match=r"\|S_0\| = "):
+        with pytest.warns(SimplicityWarning, match=r"\|S_0\| = ") as record:
             integral = nondegeneracy_integral(sol, 0)
         assert abs(integral) < 1e-8 * 9.0 * 2.0
+        # transversality warns too, and both point at their caller
+        with pytest.warns(SimplicityWarning, match=r"\|S_0\| = ") as also:
+            with contextlib.suppress(RuntimeError):
+                transversality(sol, 0)
+        assert [w.filename for w in (*record, *also)] == [__file__, __file__]
         with warnings.catch_warnings():
             warnings.simplefilter("error", SimplicityWarning)
             nondegeneracy_integral(sol, 1)

@@ -310,19 +310,21 @@ class TestResonanceGuard:
         main[7] = upper[6] = lower[7] = 0.0
         object.__setattr__(grid, "laplacian",
                            replace(lap, main=main, upper=upper, lower=lower))
-        sol = replace(sol, model=replace(sol.model, grid=grid))
 
-        delay_shift = normalform._delay_shift
+        class ZeroColumn(ModelParams):
+            """The model's coupling, and so the shift, with node 7 zeroed."""
 
-        def zero_column_shift(*args):
-            shift = delay_shift(*args)
-            shift[7] = 0.0
-            return shift
+            def coupling(self, *args):
+                coupling = super().coupling(*args)
+                coupling[7] = 0.0
+                return coupling
+
+        rigged = ZeroColumn(**{**vars(sol.model), "grid": grid})
+        sol = replace(sol, model=rigged)
 
         def unreachable(*args):
             raise AssertionError("singular factor passed on")
 
-        monkeypatch.setattr(normalform, "_delay_shift", zero_column_shift)
         monkeypatch.setattr(normalform, "zgtcon", unreachable)
         monkeypatch.setattr(grid_module, "zgttrs", unreachable)
         for correction in (second_harmonic_correction, zero_mode_correction):

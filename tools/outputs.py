@@ -22,7 +22,12 @@ read only:
 - benchmark seeds 1 and 2: ``steady``, ``hopf`` and ``normalform`` at
   n = 201, 1201 and 4801, and the benchmark's ``sweep``;
 - fig. 2 and benchmark seed 1: ``hopf`` and ``normalform`` at r = 0.5 on
-  n = 1201, the largest r below the default ``r_cap``.
+  n = 1201, the largest r below the default ``r_cap``;
+- a long domain, draw 15 of ROADMAP item 2 (L = 8.5582, r = 0.4104, so
+  r L^2 = 30, where every run above has r L^2 <= 4.5): ``steady``, ``hopf``
+  and ``normalform`` with ``n_max = 3`` at n = 201.  These runs pin today's
+  output, whose ``tau_hat_0`` item 2 shows is not the first crossing: the
+  steady state already loses stability at a smaller delay.
 
 ``diff`` compares every file of A with its namesake in B.  A file is
 byte-identical, or its numbers moved (the largest relative difference over
@@ -57,6 +62,16 @@ SEED_GRIDS = (201, 1201, 4801)
 LARGE_R = 0.5
 LARGE_R_GRID = 1201
 EXIT_CODES = "exit_codes.txt"
+LONG_DOMAIN = """[model]
+length = 8.5582
+n_points = 201
+a = 2.5
+r = 0.4104
+p = 38.4437 + 19.8369*sin(1.9065*x + 0)
+delta = 1.3502 + 0.3299*cos(0.9167*x + 0)
+[task]
+name = {task}
+"""
 
 # a number that is a whole token: not part of a name such as tau_hat0
 NUMBER = re.compile(
@@ -131,6 +146,9 @@ def run(out_dir: Path, src: Path = ROOT / "src") -> int:
             once(f"{name}-{task}-r{LARGE_R:g}-n{LARGE_R_GRID}", task,
                  workloads.config_text(coeffs, LARGE_R_GRID, task, n_max=3),
                  extra=("--set", f"model.r={LARGE_R:g}"))
+    once("long-steady", "steady", LONG_DOMAIN.format(task="steady"))
+    for task in ("hopf", "normalform"):
+        once(f"long-{task}", task, LONG_DOMAIN.format(task=task) + "n_max = 3\n")
     (out_dir / EXIT_CODES).write_text("\n".join(codes) + "\n", encoding="utf-8")
     return sum(not line.endswith(" 0") for line in codes)
 
