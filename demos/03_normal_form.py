@@ -44,8 +44,6 @@ print(f"r -> 0 closed form: {limit:.6f}   (relative gap {gap:.2e})")
 # stability is not decided by this reduction
 print(f"\nn = 1 threshold: direction = {second.direction},"
       f" orbit = {second.orbit_stability}")
-if second.note:
-    print(f"  note: {second.note}")
 
 # the negativity of Re C1 in the limit is not an accident of one c0: both
 # polynomial certificates stay negative across the oscillatory range

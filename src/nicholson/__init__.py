@@ -75,60 +75,3 @@ from .simulate import (
 from .config import ConfigError, RunConfig, load_config
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DiscreteLaplacian",
-    "Grid1D",
-    "spatial_average",
-    "CoefficientField",
-    "ModelParams",
-    "build_coefficients",
-    "coefficient_values",
-    "eval_nonlinearity",
-    "NewtonConvergenceError",
-    "SteadyState",
-    "solve_steady_state",
-    "steady_residual",
-    "write_steady_csv",
-    "CrossingError",
-    "HopfSolution",
-    "NoHopfError",
-    "SimplicityWarning",
-    "SolvabilityError",
-    "continue_hopf",
-    "limit_nondegeneracy_integral",
-    "limit_phase",
-    "limit_transversality_real",
-    "nondegeneracy_integral",
-    "solve_poisson_meanzero",
-    "transversality",
-    "write_hopf_csv",
-    "GCoefficients",
-    "NormalFormReport",
-    "ResonanceError",
-    "bifurcation_verdict",
-    "first_lyapunov_coefficient",
-    "limit_lyapunov_real",
-    "limit_pairing_factor",
-    "limit_second_harmonic_ratio",
-    "limit_zero_mode_ratio",
-    "lyapunov_sign_bounds",
-    "normal_form_coefficients",
-    "normal_form_report",
-    "second_harmonic_correction",
-    "write_normalform_csv",
-    "zero_mode_correction",
-    "BlowUpError",
-    "PeriodEstimate",
-    "SimulationTrace",
-    "default_history",
-    "estimate_period",
-    "simulate_average_dde",
-    "simulate_pde",
-    "write_snapshot_csv",
-    "write_spacetime_csv",
-    "write_trace_csv",
-    "ConfigError",
-    "RunConfig",
-    "load_config",
-]

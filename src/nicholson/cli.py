@@ -294,7 +294,7 @@ def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     for r in config.options["r_list"]:
         try:
             rows.append(_sweep_row(model, r, config.options["r_cap"]))
-        except _SOLVER_ERRORS + (NoHopfError,):
+        except _SOLVER_ERRORS:
             rows.append((r, 1.0 / r) + (BLANK,) * 9 + ("STALL",))
             stalled += 1
     limit = _call(continue_hopf, model.with_r(0.0))
@@ -477,13 +477,10 @@ def main(argv=None) -> int:
             args.config, overrides=overrides, grid_override=args.grid
         )
         return run_task(config, args.out or f"{args.command}-out")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TaskFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid1D
-from .model import ModelParams, build_coefficients, coefficient_values
+from .model import CoefficientError, ModelParams, build_coefficients, coefficient_values
 
 TASKS = ("steady", "hopf", "normalform", "simulate", "average-dde", "sweep")
 _REQUIRED = object()  # the default of a key its task cannot run without
@@ -247,6 +247,8 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
     try:
         coeffs = build_coefficients(p, delta, grid)
         model = ModelParams(r=r, a=a, tau=tau, grid=grid, coeffs=coeffs)
+    except CoefficientError as exc:
+        raise ConfigError(f"model.{exc.name}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 

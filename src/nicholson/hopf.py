@@ -52,10 +52,10 @@ class SolvabilityError(ValueError):
 class CrossingError(RuntimeError):
     """The crossing could not be solved for.
 
-    Raised by the Hopf Newton solve and its bordered linear solves; from
-    :func:`continue_hopf` the message names r, the solver that failed
-    (steady or Hopf Newton) and its own text, with the solver's exception
-    chained as ``__cause__``.
+    Raised by the Hopf Newton solve, its bordered linear solves and
+    :func:`transversality`; from :func:`continue_hopf` the message names
+    r, the solver that failed (steady or Hopf Newton) and its own text,
+    with the solver's exception chained as ``__cause__``.
     """
 
 
@@ -278,21 +278,21 @@ def _bordered_solve(grid: Grid1D, shift, cols, rows, corner,
     return base + basis @ unknowns, unknowns[2:]
 
 
-def _hopf_residual(state, model, u):
+def _hopf_residual(state, model, u, pfprime):
     """Residual (g1, (g2, Re mean, Im mean)), its norm, floor ratio, coupling, psi.
 
-    The norm is max(|g1|, |g2|, |mean|).  The floor ratio is the largest
-    ratio of a block to eps times the terms it sums, before they cancel:
-    |L||z| + (p|f'(u)| + delta + |omega|)|psi| for g1, (beta^2 + 1) c0^2
-    |Omega| + r^2 ||z||^2 for g2 and int|psi| / r for the mean pins (the
-    size of int z read off psi = beta c0 + r z).  Each is nonzero at the
-    solution, even for constant coefficients, where z vanishes.
+    ``pfprime`` is p f'(u).  The norm is max(|g1|, |g2|, |mean|).  The
+    floor ratio is the largest ratio of a block to eps times the terms it
+    sums, before they cancel: |L||z| + (|pfprime| + delta + |omega|)|psi|
+    for g1, (beta^2 + 1) c0^2 |Omega| + r^2 ||z||^2 for g2 and int|psi| / r
+    for the mean pins (the size of int z read off psi = beta c0 + r z).
+    Each is nonzero at the solution, even for constant coefficients, where
+    z vanishes.
     """
     z, beta, omega, theta = state
     coeffs = model.coeffs
     c0 = coeffs.c0
     laplacian = model.grid.laplacian
-    fprime = eval_nonlinearity(u, order=1)
     coupling = model.coupling(u, np.exp(-1j * theta), 1j * omega)
     psi = beta * c0 + model.r * z
     g1 = laplacian.apply(z) + coupling * psi
@@ -305,7 +305,7 @@ def _hopf_residual(state, model, u):
     abs_z, abs_psi = np.abs(z), np.abs(psi)
     # |L||z| = L|z| - 2 diag(L)|z|: the diagonal is negative, the rest not
     g1_size = (laplacian.apply(abs_z) - 2.0 * laplacian.main * abs_z
-               + (coeffs.p * np.abs(fprime) + coeffs.delta + abs(omega)) * abs_psi)
+               + (np.abs(pfprime) + coeffs.delta + abs(omega)) * abs_psi)
     g2_size = (beta * beta + 1.0) * c0 * c0 * model.grid.length + model.r**2 * norm_sq
     ratio = max(float((np.abs(g1) / g1_size).max()), abs(g2) / g2_size,
                 model.r * abs(mean) / float(weights @ abs_psi)) / _EPS
@@ -333,12 +333,13 @@ def _hopf_newton(state, model: ModelParams, u: np.ndarray):
     coeffs = model.coeffs
     c0 = coeffs.c0
     fprime = eval_nonlinearity(u, order=1)
+    pfprime = coeffs.p * fprime
     best = math.inf
     previous = math.inf
     for iteration in range(_MAX_ITERATIONS + 1):
         state = (z, beta, omega, theta)
         (g1, border), res_norm, ratio, coupling, psi = _hopf_residual(
-            state, model, u
+            state, model, u, pfprime
         )
         if ratio <= 2.0 or 0.5 * previous < ratio <= 100.0:
             return state, res_norm
@@ -425,7 +426,8 @@ def continue_hopf(model: ModelParams, r_cap: float = 0.5) -> HopfSolution:
     if omega < 0:
         z, omega, theta = z.conj(), -omega, -theta
     theta = theta % TWO_PI
-    res = _hopf_residual((z, beta, omega, theta), model, u)[1]
+    pfprime = model.coeffs.p * eval_nonlinearity(u, order=1)
+    res = _hopf_residual((z, beta, omega, theta), model, u, pfprime)[1]
     return HopfSolution(
         model=model,
         u=u,
@@ -489,14 +491,14 @@ def transversality(sol: HopfSolution, n: int = 0) -> complex:
         dmu/dtau = i nu r e^{-i theta} int(p f'(u_r) psi^2) / (-S_n).
 
     The real part must be positive (eigenvalues cross left to right); a
-    nonpositive real part signals an inconsistent solution and raises.
+    nonpositive one, an inconsistent solution, raises :class:`CrossingError`.
     """
     if sol.r <= 0:
         raise ValueError("transversality is defined along the branch for r > 0")
     s_n, delayed = _pairings(sol, n)
     dmu = 1j * sol.nu * sol.r * np.exp(-1j * sol.theta) * delayed / (-s_n)
     if dmu.real <= 0:
-        raise RuntimeError(
+        raise CrossingError(
             f"transversality failed: Re d(mu)/d(tau) = {dmu.real:.3e} <= 0 "
             f"at r = {sol.r:.6g}, n = {n}"
         )

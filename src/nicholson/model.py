@@ -107,6 +107,14 @@ def coefficient_values(spec, grid: Grid1D) -> np.ndarray:
         ) from None
 
 
+class CoefficientError(ValueError):
+    """Coefficient ``name`` (``"p"`` or ``"delta"``) is not finite and positive."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Sampled birth/death coefficients with their means and c0.
@@ -136,19 +144,19 @@ def build_coefficients(p, delta, grid: Grid1D) -> CoefficientField:
 
     Raises
     ------
-    ValueError
-        If either coefficient is not finite and strictly positive at every
-        node.
+    CoefficientError
+        A ValueError: either coefficient is not finite and strictly
+        positive at every node.
     """
     p = coefficient_values(p, grid)
     delta = coefficient_values(delta, grid)
     for name, values in (("p", p), ("delta", delta)):
         bad = ~((values > 0) & (values < np.inf))
         if bad.any():
-            raise ValueError(
+            raise CoefficientError(name, (
                 f"coefficient {name} must be finite and strictly positive; "
                 f"sample {values[bad][0]} at x = {grid.nodes[bad][0]:.6g}"
-            )
+            ))
     p.flags.writeable = False
     delta.flags.writeable = False
     p_bar = float(spatial_average(p, grid))

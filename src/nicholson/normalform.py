@@ -71,7 +71,6 @@ class NormalFormReport:
     mu2: float
     direction: str
     orbit_stability: str
-    note: str
 
 
 def _solve_shifted(sol: HopfSolution, mu: complex, tau: float, rhs: np.ndarray,
@@ -194,7 +193,7 @@ def first_lyapunov_coefficient(g: GCoefficients, nu: float, tau_n: float) -> com
 def bifurcation_verdict(c1: complex, dmu: complex, n: int = 0):
     """Direction and orbit stability from C1(0) and the crossing speed.
 
-    Returns (mu2, direction, orbit_stability, note).  mu2 > 0 means the
+    Returns (mu2, direction, orbit_stability).  mu2 > 0 means the
     periodic orbits exist for delays beyond the threshold (forward).  Orbit
     stability is decided by sign(Re C1) only at the first threshold; for
     n >= 1 it is reported as 'undetermined' because earlier crossings have
@@ -209,11 +208,8 @@ def bifurcation_verdict(c1: complex, dmu: complex, n: int = 0):
     direction = "forward" if mu2 > 0 else "backward"
     if n == 0:
         orbit_stability = "stable" if c1.real < 0 else "unstable"
-        note = ""
     else:
         orbit_stability = "undetermined"
-        note = ("orbit stability at n >= 1 is not decided by the first "
-                "Lyapunov coefficient alone")
     if c1.real > 0:
         warnings.warn(
             f"Re C1(0) = {c1.real:.6g} > 0 at n = {n}: outside the "
@@ -222,7 +218,7 @@ def bifurcation_verdict(c1: complex, dmu: complex, n: int = 0):
             UserWarning,
             stacklevel=2,
         )
-    return mu2, direction, orbit_stability, note
+    return mu2, direction, orbit_stability
 
 
 def normal_form_report(sol: HopfSolution, *,
@@ -240,7 +236,7 @@ def normal_form_report(sol: HopfSolution, *,
         g = normal_form_coefficients(sol, n, second_harmonic, zero_mode)
         c1 = first_lyapunov_coefficient(g, sol.nu, tau_n)
         dmu = transversality(sol, n)
-        mu2, direction, orbit_stability, note = bifurcation_verdict(c1, dmu, n)
+        mu2, direction, orbit_stability = bifurcation_verdict(c1, dmu, n)
         reports.append(NormalFormReport(
             n=n,
             tau_n=tau_n,
@@ -251,7 +247,6 @@ def normal_form_report(sol: HopfSolution, *,
             mu2=mu2,
             direction=direction,
             orbit_stability=orbit_stability,
-            note=note,
         ))
     return tuple(reports)
 

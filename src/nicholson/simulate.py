@@ -77,7 +77,6 @@ class PeriodEstimate:
     period: float | None
     amplitude: float | None
     n_peaks: int
-    tail_fraction: float
     trend_ratio: float
 
 
@@ -109,10 +108,11 @@ def _snap_step(delay: float, dt: float, t_end: float) -> tuple[float, int, int]:
 # most states per call for births, blow-up test and means; bounds the
 # transient memory of a long delay
 _CHUNK = 128
+_BLOWUP_THRESHOLD = 1e8  # largest |u| a run may reach before it is a blow-up
 
 
 def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
-           threshold, snapshot_stride=None):
+           snapshot_stride=None):
     """Step a delayed equation ``n_steps`` times from ``history(t)``.
 
     A ring of states (of ``shape``) starts with the history at
@@ -125,8 +125,8 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
     them; at zero delay ``births`` is the birth function
     ``births(v, out=None, scratch=None)``, which ``advance`` applies to
     the state it has just written.  The blow-up test (a largest magnitude
-    not at most ``threshold`` raises :class:`BlowUpError`, dated at the
-    first such state), ``observe`` and the snapshots run on blocks of up
+    not at most ``_BLOWUP_THRESHOLD`` raises :class:`BlowUpError`, dated at
+    the first such state), ``observe`` and the snapshots run on blocks of up
     to ``_CHUNK`` states, for which a short delay gets a longer ring.  A
     run whose ``n_steps + 1`` times and means cannot be allocated is a
     ValueError.
@@ -155,6 +155,7 @@ def _march(advance, observe, history, shape, n_delay, gain, a, dt, n_steps,
     if not (ring[:depth].min() > 0 and ring[:depth].max() < math.inf):
         raise ValueError("history must be finite and strictly positive")
     current = ring[n_delay].copy()
+    threshold = _BLOWUP_THRESHOLD
     try:
         times = np.arange(n_steps + 1, dtype=float)
         means = np.empty(n_steps + 1)
@@ -218,7 +219,6 @@ def simulate_pde(
     t_end: float = None,
     dt: float = 5e-3,
     snapshot_stride: int | None = None,
-    blowup_threshold: float = 1e8,
 ) -> SimulationTrace:
     """Integrate the delayed reaction-diffusion model up to ``t_end``.
 
@@ -237,8 +237,11 @@ def simulate_pde(
         integral so the delayed field falls exactly on a stored level.
     snapshot_stride : int, optional
         Record the full field every this many steps (plus the final state).
-    blowup_threshold : float
-        Abort with :class:`BlowUpError` when max |u| exceeds this.
+
+    Raises
+    ------
+    BlowUpError
+        When max |u| exceeds ``_BLOWUP_THRESHOLD`` (1e8).
 
     Notes
     -----
@@ -290,7 +293,7 @@ def simulate_pde(
     times, means, snapshots = _march(
         advance, lambda u: spatial_average(u, grid), levels, (grid.n_points,),
         n_delay, weights * (dt * model.coeffs.p), model.a, dt, n_steps,
-        blowup_threshold, snapshot_stride,
+        snapshot_stride,
     )
     return SimulationTrace(
         times=times, mean_series=means, snapshots=snapshots,
@@ -338,7 +341,7 @@ def simulate_average_dde(
     times, values, _ = _march(
         advance, lambda v: v,
         history if callable(history) else (lambda t: history), (), n_delay,
-        dt * p_bar, a, dt, n_steps, 1e8,
+        dt * p_bar, a, dt, n_steps,
     )
     return SimulationTrace(
         times=times, mean_series=values, snapshots=(), dt=dt,
@@ -355,22 +358,22 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (starts[peak] + ends[peak]) // 2
 
 
-def estimate_period(
-    trace: SimulationTrace,
-    tail_fraction: float = 0.25,
-    relative_floor: float = 1e-6,
-    trend_floor: float = 0.75,
-) -> PeriodEstimate:
+_RELATIVE_FLOOR = 1e-6  # a tail swing below this times its mean is roundoff
+_TREND_FLOOR = 0.75  # the least trend_ratio of an oscillation not dying out
+
+
+def estimate_period(trace: SimulationTrace,
+                    tail_fraction: float = 0.25) -> PeriodEstimate:
     """Classify the tail of a trace as settled, dying out, or oscillating.
 
     The last ``tail_fraction`` of the mean series is scanned for peaks
     (defined below); the trace counts as oscillating when at least three
-    are found, the tail's half peak-to-peak swing exceeds
-    ``relative_floor`` times its mean level, and the swing is not visibly
-    decaying across the tail (``trend_ratio`` at least ``trend_floor``).
-    The trend gate matters just below a bifurcation threshold, where a
-    slowly dying mode can keep a clean but shrinking oscillation in the
-    tail for a long time.  Period is the average spacing of the peaks.
+    are found, the tail's half peak-to-peak swing exceeds 1e-6 times its
+    mean level, and the swing is not visibly decaying across the tail
+    (``trend_ratio`` at least 0.75).  The trend gate matters just below a
+    bifurcation threshold, where a slowly dying mode can keep a clean but
+    shrinking oscillation in the tail for a long time.  Period is the
+    average spacing of the peaks.
 
     A peak is a strict local maximum over runs of equal values: a run
     higher than the runs on both sides of it.  A flat top is reported at
@@ -389,7 +392,7 @@ def estimate_period(
     tail = trace.mean_series[-n_tail:]
     tail_times = trace.times[-n_tail:]
     swing = 0.5 * (tail.max() - tail.min())
-    floor = relative_floor * max(abs(tail.mean()), 1e-300)
+    floor = _RELATIVE_FLOOR * max(abs(tail.mean()), 1e-300)
     first, second = tail[: n_tail // 2], tail[n_tail // 2:]
     swing_first = 0.5 * (first.max() - first.min())
     swing_second = 0.5 * (second.max() - second.min())
@@ -405,19 +408,17 @@ def estimate_period(
     oscillating = (
         len(peaks) >= 3
         and swing > floor
-        and trend_ratio >= trend_floor
+        and trend_ratio >= _TREND_FLOOR
     )
     if not oscillating:
         return PeriodEstimate(
             oscillating=False, period=None, amplitude=None,
-            n_peaks=len(peaks), tail_fraction=tail_fraction,
-            trend_ratio=trend_ratio,
+            n_peaks=len(peaks), trend_ratio=trend_ratio,
         )
     period = float(np.diff(tail_times[peaks]).mean())
     return PeriodEstimate(
         oscillating=True, period=period, amplitude=float(swing),
-        n_peaks=len(peaks), tail_fraction=tail_fraction,
-        trend_ratio=trend_ratio,
+        n_peaks=len(peaks), trend_ratio=trend_ratio,
     )
 
 

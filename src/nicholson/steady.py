@@ -46,7 +46,6 @@ class SteadyState:
     """Converged positive steady state of the normalized model."""
 
     u: np.ndarray
-    r: float
     residual_norm: float
     newton_iterations: int
 
@@ -72,12 +71,11 @@ def _roundoff_floor(u: np.ndarray, model: ModelParams) -> float:
     return 4.0 * _EPS * float(scale.max())
 
 
-def solve_steady_state(model: ModelParams,
-                       u0: np.ndarray | None = None) -> SteadyState:
+def solve_steady_state(model: ModelParams) -> SteadyState:
     """Damped Newton solve for the positive steady state.
 
-    Starts from the constant c0 unless ``u0`` is given.  Each step solves the
-    tridiagonal Jacobian system with one ``gttrf`` factor
+    Starts from the constant c0.  Each step solves the tridiagonal Jacobian
+    system with one ``gttrf`` factor
     (:meth:`~nicholson.grid.DiscreteLaplacian.factor`); the step is backtracked until the
     iterate stays positive and the residual satisfies an Armijo-type decrease.
 
@@ -89,12 +87,12 @@ def solve_steady_state(model: ModelParams,
     that the constant mode, damped only like r, would amplify into u.
 
     When c0 is small next to the heterogeneity, the positive solution can
-    exceed twice c0 and Newton from c0, or from a poor ``u0``, slides to the
-    zero solution.  If two steps in a row halve max(u) above the floor, or
-    the start fails otherwise, the solve restarts from the supersolution
-    M = max log(p / delta); every start gets this guard and this retry, bar
-    a singular Jacobian (see :class:`_SingularJacobian`).  For M <= 2, f is
-    concave on [0, M] and Newton from M descends monotonically.
+    exceed twice c0 and Newton from c0 slides to the zero solution.  If two
+    steps in a row halve max(u) above the floor, or the start fails
+    otherwise, the solve restarts from the supersolution
+    M = max log(p / delta), bar a singular Jacobian (see
+    :class:`_SingularJacobian`).  For M <= 2, f is concave on [0, M] and
+    Newton from M descends monotonically.
     ``newton_iterations`` then counts the steps of both attempts.
 
     Raises
@@ -116,11 +114,8 @@ def solve_steady_state(model: ModelParams,
             "no positive steady state exists"
         )
     n = model.grid.n_points
-    u = np.full(n, coeffs.c0) if u0 is None else np.array(u0, dtype=float)
-    if not np.all(u > 0):
-        raise ValueError("initial guess must be strictly positive")
     try:
-        return _newton(model, u)
+        return _newton(model, np.full(n, coeffs.c0))
     except _SingularJacobian:
         raise
     except NewtonConvergenceError as first:
@@ -163,7 +158,7 @@ def _newton(model: ModelParams, u: np.ndarray) -> SteadyState:
                 if norm_try <= max((1.0 - 1e-4 * lam) * res_norm, floor):
                     break
             if res_norm <= floor:
-                return SteadyState(u=u, r=model.r, residual_norm=res_norm,
+                return SteadyState(u=u, residual_norm=res_norm,
                                    newton_iterations=iteration - 1)
             lam *= 0.5
         else:
@@ -173,7 +168,7 @@ def _newton(model: ModelParams, u: np.ndarray) -> SteadyState:
         u, residual, res_norm = u_try, res_try, norm_try
         floor = _roundoff_floor(u, model)
         if res_norm <= floor and not halved:
-            return SteadyState(u=u, r=model.r, residual_norm=res_norm,
+            return SteadyState(u=u, residual_norm=res_norm,
                                newton_iterations=iteration)
         if slides >= 2 and res_norm > floor:
             raise failure("sliding to the zero solution", iteration)

@@ -36,7 +36,7 @@ import numpy as np
 from nicholson import normalform
 from nicholson.hopf import _hopf_newton, _limit_state, transversality
 from nicholson.model import eval_nonlinearity
-from nicholson.steady import solve_steady_state
+from nicholson.steady import _newton
 
 
 def _char(lam: complex, tau: float, delta_bar: float, c0: float) -> complex:
@@ -163,15 +163,16 @@ def stepped_crossing(model, max_step: float = 0.025):
     """Raw crossing (u, z, beta, omega, theta) at ``model.r`` by the r-walk.
 
     Equal steps in r of at most ``max_step`` from the closed-form limit;
-    each step solves the steady state from the previous one and corrects
-    the crossing from the previous state.  No sign or phase normalization.
+    each step runs the steady Newton iteration from the previous steady
+    state and corrects the crossing from the previous state.  No sign or
+    phase normalization.
     """
     steps = max(1, math.ceil(model.r / max_step))
     state = _limit_state(model)
     u = np.full(model.grid.n_points, model.coeffs.c0)
     for k in range(1, steps + 1):
         stage = model.with_r(model.r * k / steps)
-        u = solve_steady_state(stage, u0=u).u
+        u = _newton(stage, u).u
         state, _ = _hopf_newton(state, stage, u)
     return (u, *state)
 

@@ -706,6 +706,34 @@ class TestExitCodes:
         assert code == 2
         assert "hopf.continue_hopf" in capsys.readouterr().err
 
+    def test_backward_crossing_is_two(self, tmp_path, fig2_config,
+                                      monkeypatch, capsys):
+        # a crossing speed with Re <= 0 exits 2 from hopf, with one named
+        # line, and stalls its sweep rows, instead of escaping main
+        import nicholson.hopf as hopf_module
+
+        real_pairings = hopf_module._pairings
+
+        def flipped(sol, n):
+            s_n, delayed = real_pairings(sol, n)
+            return s_n, -delayed
+
+        monkeypatch.setattr(hopf_module, "_pairings", flipped)
+        code = main(["hopf", "--config", str(fig2_config),
+                     "--out", str(tmp_path / "hopf")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: hopf.transversality: ")
+        assert "Re d(mu)/d(tau)" in lines[0]
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(fig2_config), "--out", str(out),
+                     "--set", "task.r_list=0.1,0.01"])
+        assert code == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        statuses = [line.split(",")[-1] for line in lines[1:]]
+        assert statuses == ["STALL", "STALL", "LIMIT"]
+
     def test_blowup_is_three(self, tmp_path, fig2_config, capsys):
         out = tmp_path / "blow"
         code = main([
@@ -934,6 +962,11 @@ class TestExitCodeContract:
                          2.1039801771886157 / 3.0065031363280004),
              waves=(3.1842066107488622, 1.0034166676397875),
              phase=3.155185569431458, t_end=1.0, tau_check=0.0)
+    # p = 1 + 1.5 sin(x + 4) dips to -0.5 near x = 0.71: the config error
+    # names model.p
+    @example(task="steady", n=41, length=3.0, r=0.1, log_ratio=0.0,
+             delta_base=1.0, amplitudes=(1.5, 0.0), waves=(1.0, 0.0),
+             phase=4.0, t_end=1.0, tau_check=0.0)
     # average-dde stops at t_end <= 50, so no draw stores more than 5e4 steps
     @given(task=st.sampled_from(["hopf", "normalform", "sweep", "steady",
                                  "average-dde"]),
@@ -942,7 +975,7 @@ class TestExitCodeContract:
            r=st.floats(math.log(1e-4), math.log(0.5)).map(math.exp),
            log_ratio=st.floats(0.0, 5.0),
            delta_base=st.floats(0.5, 5.0),
-           amplitudes=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+           amplitudes=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
            waves=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
            phase=st.floats(0.0, 2.0 * math.pi),
            t_end=st.floats(math.log(1e-2), math.log(50.0)).map(math.exp),
@@ -989,6 +1022,23 @@ class TestTaskOptions:
     def test_cases_cover_every_key(self):
         assert {key for _, key, _, _ in BAD_TASK_VALUES} == set(OPTIONS)
         assert {key for _, key, _, _ in TASK_BOUNDARIES} == set(OPTIONS)
+
+    def test_readme_table_is_the_options(self):
+        # README's [task] table has one row per key of OPTIONS, in its
+        # order, and each row's "read by" cell names that key's tasks
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | read by | default | accepted values |")
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            key, read_by = line.split("|")[1:3]
+            rows.append((key.strip().strip("`"),
+                         set(re.findall(r"`([\w-]+)`", read_by))))
+        assert [key for key, _ in rows] == list(OPTIONS)
+        for key, tasks in rows:
+            assert tasks == set(OPTIONS[key][-1]), key
 
     @pytest.mark.parametrize("task", TASKS)
     def test_every_key_a_task_reads_has_a_rule(self, fig2_config, task):

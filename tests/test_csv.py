@@ -217,7 +217,7 @@ class TestRealOutput:
 
 class TestBlocks:
     def test_steady(self, tmp_path, wide_grid):
-        steady = SteadyState(u=awkward(ROWS, 4), r=1e-2, residual_norm=0.0,
+        steady = SteadyState(u=awkward(ROWS, 4), residual_norm=0.0,
                              newton_iterations=1)
         assert_same_bytes(tmp_path, write_steady_csv, reference_steady,
                           wide_grid, steady)
@@ -270,7 +270,6 @@ class TestBlocks:
                 dmu=complex(parts[11][k], parts[0][k]), mu2=parts[12][k],
                 direction=("forward", "backward", "undetermined")[k % 3],
                 orbit_stability=("stable", "unstable", "undetermined")[k % 3],
-                note="",
             )
             for k in range(ROWS)
         ]

@@ -231,17 +231,16 @@ class TestHeterogeneousSmallR:
 
 class TestVerdicts:
     def test_forward_stable(self):
-        mu2, direction, stability, note = bifurcation_verdict(
+        mu2, direction, stability = bifurcation_verdict(
             complex(-1.0, 0.3), complex(0.5, -0.1), n=0
         )
         assert mu2 == pytest.approx(2.0)
         assert direction == "forward"
         assert stability == "stable"
-        assert note == ""
 
     def test_backward_unstable_warns(self):
         with pytest.warns(UserWarning, match="Re C1"):
-            mu2, direction, stability, _ = bifurcation_verdict(
+            mu2, direction, stability = bifurcation_verdict(
                 complex(1.0, 0.0), complex(0.5, 0.0), n=0
             )
         assert mu2 == pytest.approx(-2.0)
@@ -249,11 +248,10 @@ class TestVerdicts:
         assert stability == "unstable"
 
     def test_higher_threshold_undetermined(self):
-        _, _, stability, note = bifurcation_verdict(
+        _, _, stability = bifurcation_verdict(
             complex(-1.0, 0.0), complex(0.5, 0.0), n=2
         )
         assert stability == "undetermined"
-        assert "n >= 1" in note
 
     def test_nonpositive_crossing_rejected(self):
         with pytest.raises(ValueError, match="crossing"):

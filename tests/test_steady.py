@@ -179,10 +179,11 @@ class TestFigureCases:
         assert np.abs(finer.u - c0).max() < 0.2 * coarse
 
     def test_uniqueness_from_spread_out_starts(self, fig1_model):
+        # the Newton iteration that solve_steady_state runs from c0
         c0 = fig1_model.coeffs.c0
         n = fig1_model.grid.n_points
         solutions = [
-            solve_steady_state(fig1_model, u0=np.full(n, scale * c0)).u
+            steady_module._newton(fig1_model, np.full(n, scale * c0)).u
             for scale in (0.5, 1.0, 2.0)
         ]
         assert np.abs(solutions[0] - solutions[1]).max() < 1e-8
@@ -273,7 +274,7 @@ class TestErrorPaths:
         x = fig2_model.grid.nodes
         curved = 1.0 + 0.5 * np.cos(np.pi * x / fig2_model.grid.length)
         with pytest.raises(NewtonConvergenceError, match="singular"):
-            solve_steady_state(fig2_model.with_r(1e-20), u0=curved)
+            steady_module._newton(fig2_model.with_r(1e-20), curved)
         steady = solve_steady_state(fig2_model.with_r(1e-20))
         assert np.all(steady.u == fig2_model.coeffs.c0)
 
@@ -289,10 +290,10 @@ class TestErrorPaths:
             solve_steady_state(model)
 
     def test_iteration_cap_raises(self, fig1_model, monkeypatch):
-        n = fig1_model.grid.n_points
+        # fig. 1 takes 4 steps from c0; the supersolution retry fails too
         monkeypatch.setattr(steady_module, "_MAX_ITERATIONS", 1)
         with pytest.raises(NewtonConvergenceError) as info:
-            solve_steady_state(fig1_model, u0=np.full(n, 20.0))
+            solve_steady_state(fig1_model)
         assert info.value.iterations == 1
         assert info.value.last_residual > 0
 
@@ -331,13 +332,9 @@ class TestPositivityProperty:
         assert steady.u.min() > coeffs.c0
         assert steady.newton_iterations <= 15
         supersolution = np.log(np.max(coeffs.p / coeffs.delta))
-        from_above = solve_steady_state(
-            model, u0=np.full(grid.n_points, supersolution))
+        from_above = steady_module._newton(
+            model, np.full(grid.n_points, supersolution))
         assert np.abs(steady.u - from_above.u).max() < 1e-14
-        # a given start gets the same guard and retry as the default one
-        given = solve_steady_state(model, u0=np.full(grid.n_points, coeffs.c0))
-        assert given.newton_iterations <= 15
-        assert np.abs(steady.u - given.u).max() < 1e-14
 
 
 class TestCsv:
