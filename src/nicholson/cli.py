@@ -192,7 +192,7 @@ def _task_normalform(config: RunConfig, out: Path) -> tuple[list[str], list[str]
     return summary, [path.name]
 
 
-def _verdict_lines(prefix: str, trace, tail_fraction: float) -> list[str]:
+def _verdict_lines(prefix: str, trace) -> list[str]:
     lines = [
         f"{prefix}dt = {trace.dt:.12g}",
         f"{prefix}final_mean = {trace.mean_series[-1]:.12g}",
@@ -201,7 +201,7 @@ def _verdict_lines(prefix: str, trace, tail_fraction: float) -> list[str]:
     drift = abs(trace.mean_series[-1] - trace.mean_series[half_idx])
     lines.append(f"{prefix}halfway_drift = {drift:.12g}")
     try:
-        estimate = estimate_period(trace, tail_fraction=tail_fraction)
+        estimate = estimate_period(trace)
     except ValueError as exc:
         lines.append(f"{prefix}verdict = too-short ({exc})")
         return lines
@@ -243,7 +243,7 @@ def _task_simulate(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         f"c0 = {model.coeffs.c0:.12g}",
         f"tau_hat = {trace.tau_hat:.12g}",
     ]
-    summary.extend(_verdict_lines("", trace, config.options["tail_fraction"]))
+    summary.extend(_verdict_lines("", trace))
     return summary, files
 
 
@@ -263,7 +263,7 @@ def _task_average_dde(config: RunConfig, out: Path) -> tuple[list[str], list[str
         f"tau_check = {options['tau_check']:.12g}",
         f"equilibrium = {coeffs.c0 / model.a:.12g}",
     ]
-    summary.extend(_verdict_lines("", trace, options["tail_fraction"]))
+    summary.extend(_verdict_lines("", trace))
     return summary, [path.name]
 
 
@@ -336,7 +336,7 @@ _FIGURES = {
 }
 
 
-def _reproduce_config(figure: str, tau_hat: float, n_points: int) -> RunConfig:
+def _reproduce_config(figure: str, tau_hat: float, n_points: int | None) -> RunConfig:
     # both built-in parameter sets use d = 0.1, given as r = 10 so that the
     # delay is tau_hat / 10
     settings = ["model.length=3.0", "model.a=2.5", "model.r=10",
@@ -353,20 +353,21 @@ def _reproduce_delay(config: RunConfig, out: Path) -> tuple[str, list[str]]:
     trace = _simulate(config)
     path = out / f"trace_tau{tau_hat:g}.csv"
     write_trace_csv(path, trace)
-    return path.name, _verdict_lines(f"tau_hat{tau_hat:g}_", trace,
-                                     config.options["tail_fraction"])
+    return path.name, _verdict_lines(f"tau_hat{tau_hat:g}_", trace)
 
 
-def run_reproduce(figure: str, out_dir: str | Path, n_points: int = 301) -> tuple[list[str], list[str]]:
-    """Run both figure delays and summarize the regimes and c0 check.
+def run_reproduce(figure: str, out_dir: str | Path, n_points: int | None) -> int:
+    """Run both figure delays, summarize the regimes and c0 check, and
+    return the process exit code.
 
-    Each delay runs with the ``simulate`` task's default settings.  Both
-    configs are built, and so the grid checked, before ``out_dir`` is
-    created.  Where the platform can fork, tau_hat = 0 (the slower delay)
-    runs in one forked worker while this process runs tau_hat = 2;
-    elsewhere both run here, one after the other.  Either way the outputs
-    are the same bytes, and a failure is the one the order tau_hat = 0,
-    then 2, meets first.
+    Each delay runs with the ``simulate`` task's default settings, on
+    ``n_points`` nodes or, for None, the config default; the manifest
+    echoes the grid used.  Both configs are built, and so the grid
+    checked, before ``out_dir`` is created.  Where the platform can fork,
+    tau_hat = 0 (the slower delay) runs in one forked worker while this
+    process runs tau_hat = 2; elsewhere both run here, one after the
+    other.  Either way the outputs are the same bytes, and a failure is the
+    one the order tau_hat = 0, then 2, meets first.
     """
     # imported here: the CLI's start-up loads no process machinery
     import multiprocessing
@@ -398,7 +399,9 @@ def run_reproduce(figure: str, out_dir: str | Path, n_points: int = 301) -> tupl
     for name, lines in runs:
         files.append(name)
         summary.extend(lines)
-    return summary, files
+    echo = [f"figure = {figure}", f"n_points = {first.model.grid.n_points}"]
+    _finish_run(out, echo, summary, files)
+    return EXIT_OK
 
 
 def run_task(config: RunConfig, out_dir: str) -> int:
@@ -465,12 +468,9 @@ def main(argv=None) -> int:
                     "reproduce runs a built-in parameter set and takes no "
                     + " or ".join(ignored)
                 )
-            out = args.out or f"reproduce-{args.figure}-out"
-            n_points = 301 if args.grid is None else args.grid
-            summary, files = run_reproduce(args.figure, out, n_points=n_points)
-            echo = [f"figure = {args.figure}", f"n_points = {n_points}"]
-            _finish_run(Path(out), echo, summary, files)
-            return EXIT_OK
+            return run_reproduce(args.figure,
+                                 args.out or f"reproduce-{args.figure}-out",
+                                 args.grid)
         overrides = parse_overrides(args.set)
         overrides[("task", "name")] = args.command
         config = load_config(

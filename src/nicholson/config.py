@@ -72,8 +72,6 @@ OPTIONS = {
               {"simulate": 400.0, "average-dde": 400.0}),
     "dt": (float, _finite_positive, "must be positive and finite",
            {"simulate": 5e-3, "average-dde": 1e-3}),
-    "tail_fraction": (float, lambda f: 0 < f <= 0.5, "must lie in (0, 0.5]",
-                      {"simulate": 0.25, "average-dde": 0.25}),
     "snapshot_stride": (int, lambda k: k >= 0, "must be nonnegative",
                         {"simulate": 0}),
     "history": (float, _finite_positive, "must be positive and finite",
@@ -219,6 +217,8 @@ def load_config(path=None, overrides=None, grid_override: int | None = None) -> 
     a = _pop_model_number(model_table, "a")
     if a is None:
         raise ConfigError("model.a is required")
+    if a <= 0:
+        raise ConfigError(f"model.a must be positive, got {a:.6g}")
 
     d = _pop_model_number(model_table, "d")
     r = _pop_model_number(model_table, "r")

@@ -134,21 +134,16 @@ class HopfSolution:
         return self.theta + TWO_PI * n
 
 
-def solve_poisson_meanzero(
-    rhs: np.ndarray,
-    grid: Grid1D,
-    scale: float | None = None,
-) -> np.ndarray:
+def solve_poisson_meanzero(rhs: np.ndarray, grid: Grid1D, scale: float) -> np.ndarray:
     """Solve Laplace(z) = rhs with Neumann boundaries and zero-mean z.
 
     The Neumann Laplacian is singular on constants; the problem is solvable
     exactly when the quadrature mean of ``rhs`` vanishes.  The mean is
     checked against the roundoff that a quadrature sum of n values of size
-    ``scale`` can carry, n eps scale.  ``scale`` defaults to the rhs
-    magnitude; callers whose rhs is a difference of large terms should pass
-    the pre-cancellation magnitude so an all-roundoff rhs is accepted as
-    zero.  The residual mean is projected out, and the system is solved in
-    bordered form
+    ``scale`` can carry, n eps scale.  For an rhs that is a difference of
+    large terms, ``scale`` is the magnitude before the cancellation, so
+    that an all-roundoff rhs is accepted as zero.  The residual mean is
+    projected out, and the system is solved in bordered form
 
         [A  1] [z     ]   [rhs]
         [w  0] [lambda] = [0  ]
@@ -168,10 +163,6 @@ def solve_poisson_meanzero(
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.size != grid.n_points:
         raise ValueError("rhs and grid sizes disagree")
-    if scale is None:
-        scale = float(np.abs(rhs).max())
-    if scale == 0.0:
-        return np.zeros(grid.n_points, dtype=complex)
     mean = grid.integrate(rhs) / grid.length
     if abs(mean) > grid.n_points * _EPS * scale:
         raise SolvabilityError(

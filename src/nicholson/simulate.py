@@ -64,7 +64,7 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class PeriodEstimate:
-    """Oscillation verdict for the tail of a trace.
+    """Oscillation verdict for the tail of a trace, its last quarter.
 
     ``trend_ratio`` compares the half peak-to-peak swing of the second half
     of the tail with that of the first half: near 1 for a saturated orbit,
@@ -76,7 +76,6 @@ class PeriodEstimate:
     oscillating: bool
     period: float | None
     amplitude: float | None
-    n_peaks: int
     trend_ratio: float
 
 
@@ -358,33 +357,29 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (starts[peak] + ends[peak]) // 2
 
 
+_TAIL_FRACTION = 0.25  # the share of the trace, at its end, the verdict reads
 _RELATIVE_FLOOR = 1e-6  # a tail swing below this times its mean is roundoff
 _TREND_FLOOR = 0.75  # the least trend_ratio of an oscillation not dying out
 
 
-def estimate_period(trace: SimulationTrace,
-                    tail_fraction: float = 0.25) -> PeriodEstimate:
+def estimate_period(trace: SimulationTrace) -> PeriodEstimate:
     """Classify the tail of a trace as settled, dying out, or oscillating.
 
-    The last ``tail_fraction`` of the mean series is scanned for peaks
-    (defined below); the trace counts as oscillating when at least three
-    are found, the tail's half peak-to-peak swing exceeds 1e-6 times its
-    mean level, and the swing is not visibly decaying across the tail
-    (``trend_ratio`` at least 0.75).  The trend gate matters just below a
-    bifurcation threshold, where a slowly dying mode can keep a clean but
-    shrinking oscillation in the tail for a long time.  Period is the
-    average spacing of the peaks.
+    The last quarter of the mean series is scanned for peaks (defined
+    below); the trace counts as oscillating when at least three are found,
+    the tail's half peak-to-peak swing exceeds 1e-6 times its mean level,
+    and the swing is not visibly decaying across the tail (``trend_ratio``
+    at least 0.75).  The trend gate matters just below a bifurcation
+    threshold, where a slowly dying mode can keep a clean but shrinking
+    oscillation in the tail for a long time.  Period is the average spacing
+    of the peaks.
 
     A peak is a strict local maximum over runs of equal values: a run
     higher than the runs on both sides of it.  A flat top is reported at
     its middle index, ``(start + end) // 2``, and a run that touches either
     end of the tail is never a peak.
     """
-    if not 0 < tail_fraction <= 0.5:
-        raise ValueError(
-            f"tail_fraction must lie in (0, 0.5], got {tail_fraction:.6g}"
-        )
-    n_tail = int(len(trace.mean_series) * tail_fraction)
+    n_tail = int(len(trace.mean_series) * _TAIL_FRACTION)
     if n_tail < 100:
         raise ValueError(
             f"tail holds {n_tail} samples; need at least 100 for a verdict"
@@ -413,12 +408,12 @@ def estimate_period(trace: SimulationTrace,
     if not oscillating:
         return PeriodEstimate(
             oscillating=False, period=None, amplitude=None,
-            n_peaks=len(peaks), trend_ratio=trend_ratio,
+            trend_ratio=trend_ratio,
         )
     period = float(np.diff(tail_times[peaks]).mean())
     return PeriodEstimate(
         oscillating=True, period=period, amplitude=float(swing),
-        n_peaks=len(peaks), trend_ratio=trend_ratio,
+        trend_ratio=trend_ratio,
     )
 
 

@@ -93,11 +93,11 @@ def test_criterion_2_figure_regimes(tmp_path):
     out2 = tmp_path / "fig2"
     out1.mkdir()
     out2.mkdir()
-    lines1, _ = run_reproduce("fig1", out1, n_points=301)
-    lines2, _ = run_reproduce("fig2", out2, n_points=301)
+    assert run_reproduce("fig1", out1, n_points=301) == 0
+    assert run_reproduce("fig2", out2, n_points=301) == 0
     elapsed = time.perf_counter() - start
-    t1 = _summary_table(lines1)
-    t2 = _summary_table(lines2)
+    t1 = _summary_table((out1 / "summary.txt").read_text().splitlines())
+    t2 = _summary_table((out2 / "summary.txt").read_text().splitlines())
     converged = [
         t1["tau_hat0_verdict"] == "settled"
         and float(t1["tau_hat0_halfway_drift"]) < 1e-4,

@@ -41,7 +41,7 @@ from nicholson.hopf import (
 )
 from nicholson.normalform import normal_form_report, write_normalform_csv
 from nicholson.grid import DiscreteLaplacian
-from nicholson.simulate import BlowUpError
+from nicholson.simulate import BlowUpError, SimulationTrace
 
 import oracles
 
@@ -262,7 +262,7 @@ class TestLoadConfig:
         task = lines[lines.index("[task]"):]
         assert task == ["[task]", "name = simulate", "dt = 0.005",
                         "history = default", "snapshot_stride = 0",
-                        "t_end = 400.0", "tail_fraction = 0.25"]
+                        "t_end = 400.0"]
         lines = echo_lines(load_config(fig2_config, overrides={
             ("task", "name"): "sweep", ("task", "r_list"): "0.1, 0.01"}))
         assert "r_list = 0.1,0.01" in lines and "r_cap = 0.5" in lines
@@ -496,17 +496,30 @@ class TestTaskRuns:
             config = cli._reproduce_config("fig2", tau_hat, 61)
             trace = cli._simulate(config)
             cli.write_trace_csv(expected / f"trace_tau{tau_hat:g}.csv", trace)
-            summary.extend(cli._verdict_lines(
-                f"tau_hat{tau_hat:g}_", trace, config.options["tail_fraction"]))
+            summary.extend(cli._verdict_lines(f"tau_hat{tau_hat:g}_", trace))
         c0 = config.model.coeffs.c0  # the delays share the coefficients
         summary.insert(0, f"c0 = {c0:.12g} (reference 2.3443, |diff| = "
                           f"{abs(c0 - 2.3443):.3g}, within 1e-3: OK)")
         (expected / "summary.txt").write_text("\n".join(summary) + "\n")
         for name in ("trace_tau0.csv", "trace_tau2.csv", "summary.txt"):
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
-        files = (out / "manifest.txt").read_text().split("# files\n")[1]
+        config, files = (out / "manifest.txt").read_text().split("# files\n")
+        assert "# n_points = 61\n" in config
         assert files.split() == ["trace_tau0.csv", "trace_tau2.csv",
                                  "summary.txt", "manifest.txt"]
+
+    def test_reproduce_echoes_the_default_grid(self, tmp_path, monkeypatch):
+        def flat(config):
+            times = np.arange(400.0)
+            return SimulationTrace(times=times, mean_series=np.ones(400),
+                                   snapshots=(), dt=1.0,
+                                   tau_hat=config.model.tau_hat)
+
+        monkeypatch.setattr(cli, "_simulate", flat)
+        out = tmp_path / "repro-out"
+        assert main(["reproduce", "fig2", "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[2:4] == ["# figure = fig2", "# n_points = 301"]
 
 
 def read_table(path, skip=0) -> list:
@@ -813,12 +826,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["0", "0.75", "nan"])
     def test_bad_tail_fraction_is_config_error(self, tmp_path, fig2_config,
                                                capsys, task, value):
+        # the verdict reads a fixed quarter: the key is one no task reads
         out = tmp_path / "tail"
         code = main([task, "--config", str(fig2_config), "--out", str(out),
                      "--set", f"task.tail_fraction={value}"])
         assert code == 1
-        assert "task.tail_fraction must lie in" in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "'tail_fraction'" in err
+        assert not out.exists()
 
     def test_negative_snapshot_stride_is_config_error(self, tmp_path,
                                                       fig2_config, capsys):
@@ -896,7 +911,6 @@ BAD_TASK_VALUES = [
     ("average-dde", "t_end", "0", []),
     ("simulate", "dt", "0", []),
     ("average-dde", "dt", "nan", []),
-    ("simulate", "tail_fraction", "0.75", []),
     ("simulate", "snapshot_stride", "-5", []),
     ("simulate", "snapshot_stride", "2.0", []),
     ("simulate", "history", "abc", []),
@@ -930,11 +944,6 @@ TASK_BOUNDARIES = [
     ("average-dde", "dt", "1e-9", True),
     ("average-dde", "dt", "-1", False),
     ("average-dde", "dt", "inf", False),
-    ("simulate", "tail_fraction", "0.5", True),
-    ("simulate", "tail_fraction", "1e-9", True),
-    ("simulate", "tail_fraction", "0", False),
-    ("simulate", "tail_fraction", "0.500001", False),
-    ("simulate", "tail_fraction", "nan", False),
     ("simulate", "snapshot_stride", "0", True),
     ("simulate", "snapshot_stride", "-1", False),
     ("simulate", "history", "1e-300", True),
@@ -954,7 +963,7 @@ _NAMED_CAUSE = re.compile(r"^config error: .*\b(model|task)\.\w+"
 class TestExitCodeContract:
     # the conjugate-root config of TestContinuation, at which hopf once
     # exited 0 with negative thresholds
-    @example(task="hopf", n=3, length=92.86421458019495,
+    @example(task="hopf", n=3, length=92.86421458019495, a=2.5,
              r=0.03952827666787632, log_ratio=math.log(27.962278844698346
                                                        / 3.0065031363280004),
              delta_base=3.0065031363280004,
@@ -964,14 +973,21 @@ class TestExitCodeContract:
              phase=3.155185569431458, t_end=1.0, tau_check=0.0)
     # p = 1 + 1.5 sin(x + 4) dips to -0.5 near x = 0.71: the config error
     # names model.p
-    @example(task="steady", n=41, length=3.0, r=0.1, log_ratio=0.0,
+    @example(task="steady", n=41, length=3.0, a=2.5, r=0.1, log_ratio=0.0,
              delta_base=1.0, amplitudes=(1.5, 0.0), waves=(1.0, 0.0),
              phase=4.0, t_end=1.0, tau_check=0.0)
-    # average-dde stops at t_end <= 50, so no draw stores more than 5e4 steps
+    # a = 0: the config error names model.a
+    @example(task="simulate", n=11, length=3.0, a=0.0, r=0.1, log_ratio=1.0,
+             delta_base=1.0, amplitudes=(0.0, 0.0), waves=(0.0, 0.0),
+             phase=0.0, t_end=1.0, tau_check=0.0)
+    # average-dde stops at t_end <= 50 and simulate at t_end / 10 <= 5 on
+    # n <= 41, so no draw stores more than 5e4 steps
     @given(task=st.sampled_from(["hopf", "normalform", "sweep", "steady",
-                                 "average-dde"]),
+                                 "average-dde", "simulate"]),
            n=st.sampled_from([3, 4, 5, 11, 41]),
            length=st.floats(math.log(0.1), math.log(100.0)).map(math.exp),
+           a=st.one_of(st.floats(-5.0, 0.0),
+                       st.floats(math.log(1e-3), math.log(100.0)).map(math.exp)),
            r=st.floats(math.log(1e-4), math.log(0.5)).map(math.exp),
            log_ratio=st.floats(0.0, 5.0),
            delta_base=st.floats(0.5, 5.0),
@@ -981,12 +997,12 @@ class TestExitCodeContract:
            t_end=st.floats(math.log(1e-2), math.log(50.0)).map(math.exp),
            tau_check=st.floats(0.0, 5.0))
     @settings(max_examples=250, deadline=None)
-    def test_every_exit_is_documented(self, task, n, length, r, log_ratio,
+    def test_every_exit_is_documented(self, task, n, length, a, r, log_ratio,
                                       delta_base, amplitudes, waves, phase,
                                       t_end, tau_check):
         p_base = delta_base * math.exp(log_ratio)
         overrides = [
-            f"model.length={length!r}", "model.a=2.5", f"model.r={r!r}",
+            f"model.length={length!r}", f"model.a={a!r}", f"model.r={r!r}",
             f"model.n_points={n}",
             f"model.p={p_base!r} + {amplitudes[0] * p_base!r}"
             f"*sin({waves[0]!r}*x + {phase!r})",
@@ -997,6 +1013,9 @@ class TestExitCodeContract:
             overrides.append(f"task.r_list={r!r},{r / 10.0!r}")
         if task == "average-dde":
             overrides += [f"task.t_end={t_end!r}", f"task.tau_check={tau_check!r}"]
+        if task == "simulate":
+            overrides += [f"task.t_end={t_end / 10.0!r}",
+                          f"model.tau_hat={tau_check!r}"]
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             # Re C1 > 0 and a nearly degenerate crossing warn by design
@@ -1145,6 +1164,16 @@ class TestModelValues:
         assert code == 1
         err = capsys.readouterr().err
         assert f"config error: model.{key} must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2.5", "1e-400"])
+    def test_nonpositive_a_is_config_error(self, tmp_path, fig2_config,
+                                           no_solver, capsys, value):
+        code, out = run_with(tmp_path, "steady", [f"model.a={value}"],
+                             fig2_config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.a must be positive, got ")
         assert not out.exists()
 
     def test_delay_that_overflows_is_config_error(self, tmp_path, fig2_config,

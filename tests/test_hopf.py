@@ -75,7 +75,7 @@ class TestMeanZeroPoisson:
     def test_cosine_mode_solved_to_second_order(self):
         grid = Grid1D(length=3.0, n_points=401)
         mode = np.cos(np.pi * grid.nodes / grid.length)
-        z = solve_poisson_meanzero(mode.astype(complex), grid)
+        z = solve_poisson_meanzero(mode.astype(complex), grid, scale=1.0)
         exact = -((grid.length / np.pi) ** 2) * mode
         assert np.abs(z - exact).max() < 1e-4
         assert abs(grid.integrate(z)) < 1e-10
@@ -83,7 +83,7 @@ class TestMeanZeroPoisson:
     def test_rejects_nonzero_mean(self):
         grid = Grid1D(length=1.0, n_points=51)
         with pytest.raises(SolvabilityError, match="mean"):
-            solve_poisson_meanzero(np.ones(51, dtype=complex), grid)
+            solve_poisson_meanzero(np.ones(51, dtype=complex), grid, scale=1.0)
 
     def test_scale_override_accepts_roundoff_rhs(self):
         grid = Grid1D(length=1.0, n_points=51)
