@@ -10,6 +10,7 @@ threshold is the first rung of the crossing's ladder at r = 0.
 """
 
 import math
+from dataclasses import replace
 
 from nicholson import (
     Grid1D,
@@ -33,7 +34,7 @@ print(f"predicted period at onset     = {linear_period:.6f}\n")
 
 for factor in (0.95, 1.05):
     tau_hat = factor * tau_hat_0
-    model = base.with_r(base.r, tau=tau_hat / base.r)
+    model = replace(base, tau=tau_hat / base.r)
     trace = simulate_pde(model, t_end=800.0, dt=5e-3)
     est = estimate_period(trace)
     if est.oscillating:
@@ -45,7 +46,7 @@ for factor in (0.95, 1.05):
 
 # the spatially averaged scalar equation shows the same transition; its
 # threshold is the limit of tau_hat_0 as d = 1/r grows without bound
-tau_check_0 = continue_hopf(base.with_r(0.0)).tau_hat_n(0)
+tau_check_0 = continue_hopf(replace(base, r=0.0)).tau_hat_n(0)
 print(f"\nscalar comparison: threshold tau_check_0 = {tau_check_0:.6f}")
 for factor in (0.9, 1.1):
     trace = simulate_average_dde(

@@ -9,7 +9,9 @@ header is the only non-deterministic byte in the run.
 
 Exit codes: 0 success (including a NoHopf verdict, which is a result, not a
 failure), 1 configuration error, 2 solver failure, 3 simulation blow-up.
-Failure messages name the responsible module and operation.
+Failure messages name the responsible module and operation.  The verdict
+is decided from c0 by :func:`hopf.limit_phase` alone; :func:`run_task`
+writes its text after ``NoHopf: `` as the whole summary, with no files.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import datetime
 import math
 import sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -95,13 +98,6 @@ def _call(fn, *args, **kwargs):
         raise TaskFailure(EXIT_BLOWUP, f"{label}: {exc}") from exc
 
 
-def _no_hopf_line(c0: float) -> str:
-    if c0 > 0:
-        return (f"NoHopf: c0 = {c0:.4f} < 2, steady state stable for all "
-                "delays")
-    return (f"NoHopf: c0 = {c0:.4f} <= 0, no positive steady state exists")
-
-
 def _prepare_out(out_dir: str) -> Path:
     out = Path(out_dir)
     try:
@@ -138,10 +134,7 @@ def _task_steady(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
 
 def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    try:
-        sol = _continuation(config)
-    except NoHopfError:
-        return [_no_hopf_line(model.coeffs.c0)], []
+    sol = _continuation(config)
     n_max = config.options["n_max"]
     path = out / "hopf.csv"
     write_hopf_csv(path, sol, n_max)
@@ -170,10 +163,7 @@ def _task_hopf(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
 
 def _task_normalform(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
-    try:
-        sol = _continuation(config)
-    except NoHopfError:
-        return [_no_hopf_line(model.coeffs.c0)], []
+    sol = _continuation(config)
     reports = _call(normal_form_report, sol, n_max=config.options["n_max"])
     path = out / "normalform.csv"
     write_normalform_csv(path, sol, reports)
@@ -274,7 +264,7 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_row(model: ModelParams, r: float, r_cap: float) -> tuple:
-    sol = continue_hopf(model.with_r(r), r_cap=r_cap)
+    sol = continue_hopf(replace(model, r=r), r_cap=r_cap)
     integral = nondegeneracy_integral(sol, 0)
     report = normal_form_report(sol)[0]
     return (
@@ -287,8 +277,6 @@ def _sweep_row(model: ModelParams, r: float, r_cap: float) -> tuple:
 def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
     model = config.model
     coeffs = model.coeffs
-    if coeffs.c0 <= 2.0:
-        return [_no_hopf_line(coeffs.c0)], []
     rows = []
     stalled = 0
     for r in config.options["r_list"]:
@@ -297,7 +285,7 @@ def _task_sweep(config: RunConfig, out: Path) -> tuple[list[str], list[str]]:
         except _SOLVER_ERRORS:
             rows.append((r, 1.0 / r) + (BLANK,) * 9 + ("STALL",))
             stalled += 1
-    limit = _call(continue_hopf, model.with_r(0.0))
+    limit = _call(continue_hopf, replace(model, r=0.0))
     tau_hat0 = limit.tau_hat_n(0)
     integral = limit_nondegeneracy_integral(coeffs.c0, model.grid.length, 0)
     crossing = limit_transversality_real(coeffs, model.grid, 0)
@@ -407,7 +395,10 @@ def run_reproduce(figure: str, out_dir: str | Path, n_points: int | None) -> int
 def run_task(config: RunConfig, out_dir: str) -> int:
     """Execute one configured task; returns the process exit code."""
     out = _prepare_out(out_dir)
-    summary, files = _TASK_RUNNERS[config.task](config, out)
+    try:
+        summary, files = _TASK_RUNNERS[config.task](config, out)
+    except NoHopfError as exc:  # a verdict, not a failure
+        summary, files = [f"NoHopf: {exc}"], []
     _finish_run(out, echo_lines(config), summary, files)
     return EXIT_OK
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from .grid import Grid1D
 from .model import CoefficientError, ModelParams, build_coefficients, coefficient_values
+from .simulate import snap_step
 
 TASKS = ("steady", "hopf", "normalform", "simulate", "average-dde", "sweep")
 _REQUIRED = object()  # the default of a key its task cannot run without
@@ -266,7 +267,8 @@ def _task_options(task: str, table: dict, model: ModelParams) -> dict:
     keys = task_keys(task)
     unread = sorted(set(table) - set(keys))
     if unread:
-        raise ConfigError(f"task {task!r} does not read the task keys {unread}")
+        raise ConfigError(f"task {task!r} does not read "
+                          + ", ".join(f"task.{key}" for key in unread))
     options = {}
     for key in keys:
         *rule, defaults = OPTIONS[key]
@@ -286,17 +288,15 @@ def _task_options(task: str, table: dict, model: ModelParams) -> dict:
             f"{options['r_cap']:.6g}; the asymptotic theory degrades away "
             "from r = 0. Set task.r_cap to opt in explicitly."
         )
-    # the simulators snap dt down to a shorter delay, as simulate._snap_step
-    # does; below dt/2 that is no longer a snap but a far smaller step
+    # the simulators' own step snap, tried before any output
     if "dt" in options:
         name = "task.tau_check" if "tau_check" in table else "model.tau_hat"
         delay = options.get("tau_check", model.tau_hat)
-        if 0 < delay < options["dt"] / 2:
-            raise ConfigError(
-                f"{name} = {delay:.6g} is positive but below half of "
-                f"task.dt = {options['dt']:.6g}; the step would shrink to "
-                "the delay. Use a zero delay, a longer one or a smaller dt."
-            )
+        try:
+            snap_step(delay, options["dt"], options["t_end"])
+        except ValueError as exc:
+            raise ConfigError(f"{name} = {delay:.6g} with task.dt = "
+                              f"{options['dt']:.6g}: {exc}") from exc
     # the steady state, which is also the simulators' default start
     if (task in ("steady", "simulate", "average-dde") and model.coeffs.c0 <= 0
             and options.get("history") is None):

@@ -70,11 +70,10 @@ def limit_phase(c0: float) -> float:
     for c0 > 2.
     """
     if c0 <= 0:
-        raise NoHopfError(f"c0 = {c0:.6g} <= 0: no positive steady state, "
-                          "Hopf analysis does not apply")
+        raise NoHopfError(f"c0 = {c0:.4f} <= 0, no positive steady state exists")
     if c0 <= 2.0:
-        raise NoHopfError(f"c0 = {c0:.6g} <= 2: the steady state is stable for "
-                          "every delay, no Hopf bifurcation exists")
+        raise NoHopfError(f"c0 = {c0:.4f} < 2, steady state stable for all "
+                          "delays")
     spread = math.sqrt(c0 * c0 - 2.0 * c0)
     return math.atan2(spread / (c0 - 1.0), -1.0 / (c0 - 1.0))
 

@@ -220,13 +220,3 @@ class ModelParams:
         tau}, mu / r)), which the steady, Hopf and normal-form solves factor."""
         return (delay_factor * self.coeffs.p * eval_nonlinearity(u, order=1)
                 - self.coeffs.delta - rate)
-
-    def with_r(self, r: float, tau: float | None = None) -> "ModelParams":
-        """Copy of the bundle at a different r (and optionally delay)."""
-        return ModelParams(
-            r=r,
-            a=self.a,
-            tau=self.tau if tau is None else tau,
-            grid=self.grid,
-            coeffs=self.coeffs,
-        )

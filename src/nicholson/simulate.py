@@ -79,7 +79,7 @@ class PeriodEstimate:
     trend_ratio: float
 
 
-def _snap_step(delay: float, dt: float, t_end: float) -> tuple[float, int, int]:
+def snap_step(delay: float, dt: float, t_end: float) -> tuple[float, int, int]:
     """Snap ``dt`` to divide ``delay``; return (dt, delay in steps, step count).
 
     A positive delay below dt/2, which rounds to zero steps, is refused:
@@ -258,7 +258,7 @@ def simulate_pde(
     delay each step evaluates its own from the state before it.
     """
     tau_hat = model.tau_hat
-    dt, n_delay, n_steps = _snap_step(tau_hat, dt, t_end)
+    dt, n_delay, n_steps = snap_step(tau_hat, dt, t_end)
     if model.r <= 0:
         raise ValueError("simulation requires r > 0 (finite diffusion)")
     grid = model.grid
@@ -318,7 +318,7 @@ def simulate_average_dde(
     """
     if min(p_bar, delta_bar, a) <= 0:
         raise ValueError("p_bar, delta_bar and a must be positive")
-    dt, n_delay, n_steps = _snap_step(tau_check, dt, t_end)
+    dt, n_delay, n_steps = snap_step(tau_check, dt, t_end)
     if history is None:
         if p_bar <= delta_bar:
             raise ValueError(

@@ -10,6 +10,7 @@ the Laplacian and the delayed eigenvalue operator as NumPy arrays.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,6 @@ def fig2_branch(grid301):
     """Fig. 2 Hopf crossings at the three standard continuation targets."""
     model = figure_model("fig2", grid301, r=1.0)
     return {
-        r: continue_hopf(model.with_r(r))
+        r: continue_hopf(replace(model, r=r))
         for r in (1e-1, 1e-2, 1e-3)
     }

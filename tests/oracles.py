@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -171,7 +172,7 @@ def stepped_crossing(model, max_step: float = 0.025):
     state = _limit_state(model)
     u = np.full(model.grid.n_points, model.coeffs.c0)
     for k in range(1, steps + 1):
-        stage = model.with_r(model.r * k / steps)
+        stage = replace(model, r=model.r * k / steps)
         u = _newton(stage, u).u
         state, _ = _hopf_newton(state, stage, u)
     return (u, *state)

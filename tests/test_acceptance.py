@@ -8,6 +8,7 @@ with ``pytest -v tests/test_acceptance.py``.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,10 +190,10 @@ def test_criterion_5_continuation_convergence_rate():
     start = time.perf_counter()
     grid = _grid()
     base = _model(FIG2_P, grid, r=1.0)
-    limit = continue_hopf(base.with_r(0.0))
+    limit = continue_hopf(replace(base, r=0.0))
     errors = {"theta": [], "omega": [], "beta": []}
     for r in (1e-1, 1e-2, 1e-3):
-        sol = continue_hopf(base.with_r(r))
+        sol = continue_hopf(replace(base, r=r))
         errors["theta"].append(abs(sol.theta - limit.theta))
         errors["omega"].append(abs(sol.omega - limit.omega))
         errors["beta"].append(abs(sol.beta - 1.0))
@@ -280,7 +281,7 @@ def test_criterion_8_spectrum_vs_simulation():
     eps = 0.05 * tau_hat_0
 
     def run(tau_hat):
-        model = base.with_r(base.r, tau=tau_hat / base.r)
+        model = replace(base, tau=tau_hat / base.r)
         return simulate_pde(model, t_end=800.0, dt=5e-3)
 
     below = estimate_period(run(0.95 * tau_hat_0))

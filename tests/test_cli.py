@@ -305,6 +305,27 @@ class TestTaskRuns:
         assert "stable for all delays" in text
         assert not (out / "hopf.csv").exists()
 
+    @pytest.mark.parametrize("coefficients, line", [
+        ({}, "NoHopf: c0 = 1.2880 < 2, steady state stable for all delays"),
+        ({"p": "1", "delta": "2"},
+         "NoHopf: c0 = -0.6931 <= 0, no positive steady state exists"),
+    ], ids=["fig1", "negative-c0"])
+    @pytest.mark.parametrize("task", ["hopf", "normalform", "sweep"])
+    def test_no_hopf_verdict_is_the_whole_summary(self, tmp_path, task,
+                                                  coefficients, line):
+        config = tmp_path / "fig1.cfg"
+        config.write_text(FIG1_CONFIG, encoding="utf-8")
+        settings = [f"model.{key}={value}" for key, value in coefficients.items()]
+        if task == "sweep":
+            settings.append("task.r_list=0.1,0.01")
+        code, out = run_with(tmp_path, task, settings, config)
+        assert code == 0
+        assert (out / "summary.txt").read_text() == line + "\n"
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[manifest.index("# files") + 1:] == ["summary.txt",
+                                                            "manifest.txt"]
+        assert not list(out.glob("*.csv"))
+
     def test_normalform_task(self, tmp_path, fig2_config):
         out = tmp_path / "nf-out"
         code = main(["normalform", "--config", str(fig2_config),
@@ -627,7 +648,18 @@ class TestExitCodes:
         code = main(["steady", "--config", str(fig2_config),
                      "--out", str(out), "--set", "task.tend=5"])
         assert code == 1
-        assert "'tend'" in capsys.readouterr().err
+        assert "task.tend" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_task_keys_are_named_with_their_section(
+            self, tmp_path, fig2_config, no_solver, capsys):
+        code, out = run_with(tmp_path, "simulate",
+                             ["task.tail_fraction=0.25", "task.n_max=1"],
+                             fig2_config)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: task 'simulate' does not read task.n_max, "
+            "task.tail_fraction\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("task", ["steady", "simulate", "average-dde"])
@@ -832,7 +864,7 @@ class TestExitCodes:
                      "--set", f"task.tail_fraction={value}"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error") and "'tail_fraction'" in err
+        assert err.startswith("config error") and "task.tail_fraction" in err
         assert not out.exists()
 
     def test_negative_snapshot_stride_is_config_error(self, tmp_path,
@@ -970,16 +1002,20 @@ class TestExitCodeContract:
              amplitudes=(4.534752373366915 / 27.962278844698346,
                          2.1039801771886157 / 3.0065031363280004),
              waves=(3.1842066107488622, 1.0034166676397875),
-             phase=3.155185569431458, t_end=1.0, tau_check=0.0)
+             phase=3.155185569431458, t_end=1.0, tau_check=0.0, unread=None)
     # p = 1 + 1.5 sin(x + 4) dips to -0.5 near x = 0.71: the config error
     # names model.p
     @example(task="steady", n=41, length=3.0, a=2.5, r=0.1, log_ratio=0.0,
              delta_base=1.0, amplitudes=(1.5, 0.0), waves=(1.0, 0.0),
-             phase=4.0, t_end=1.0, tau_check=0.0)
+             phase=4.0, t_end=1.0, tau_check=0.0, unread=None)
     # a = 0: the config error names model.a
     @example(task="simulate", n=11, length=3.0, a=0.0, r=0.1, log_ratio=1.0,
              delta_base=1.0, amplitudes=(0.0, 0.0), waves=(0.0, 0.0),
-             phase=0.0, t_end=1.0, tau_check=0.0)
+             phase=0.0, t_end=1.0, tau_check=0.0, unread=None)
+    # a key simulate does not read: the config error names it as task.n_max
+    @example(task="simulate", n=11, length=3.0, a=2.5, r=0.1, log_ratio=3.0,
+             delta_base=1.0, amplitudes=(0.0, 0.0), waves=(0.0, 0.0),
+             phase=0.0, t_end=1.0, tau_check=0.0, unread="n_max")
     # average-dde stops at t_end <= 50 and simulate at t_end / 10 <= 5 on
     # n <= 41, so no draw stores more than 5e4 steps
     @given(task=st.sampled_from(["hopf", "normalform", "sweep", "steady",
@@ -995,11 +1031,13 @@ class TestExitCodeContract:
            waves=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
            phase=st.floats(0.0, 2.0 * math.pi),
            t_end=st.floats(math.log(1e-2), math.log(50.0)).map(math.exp),
-           tau_check=st.floats(0.0, 5.0))
+           tau_check=st.floats(0.0, 5.0),
+           unread=st.one_of(st.none(),
+                            st.sampled_from(["tail_fraction", *OPTIONS])))
     @settings(max_examples=250, deadline=None)
     def test_every_exit_is_documented(self, task, n, length, a, r, log_ratio,
                                       delta_base, amplitudes, waves, phase,
-                                      t_end, tau_check):
+                                      t_end, tau_check, unread):
         p_base = delta_base * math.exp(log_ratio)
         overrides = [
             f"model.length={length!r}", f"model.a={a!r}", f"model.r={r!r}",
@@ -1016,6 +1054,8 @@ class TestExitCodeContract:
         if task == "simulate":
             overrides += [f"task.t_end={t_end / 10.0!r}",
                           f"model.tau_hat={tau_check!r}"]
+        if unread is not None and unread not in task_keys(task):
+            overrides.append(f"task.{unread}=1")
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             # Re C1 > 0 and a nearly degenerate crossing warn by design
@@ -1127,8 +1167,7 @@ class TestTaskOptions:
         assert time.perf_counter() - start < 5.0
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {name} is positive but below "
-                              "half of task.dt")
+        assert err.startswith(f"config error: {name} with task.dt = ")
         assert not out.exists()
 
     def test_delay_of_six_tenths_step_runs_with_snapped_dt(

@@ -139,7 +139,7 @@ def reference_sweep(path, model, cells_by_r, r_list):
             empty = [f"{r:.12g}", f"{1.0 / r:.12g}"] + [""] * 9 + ["STALL"]
             rows.append(",".join(empty))
     coeffs = model.coeffs
-    limit = continue_hopf(model.with_r(0.0))
+    limit = continue_hopf(dataclasses.replace(model, r=0.0))
     tau_hat0 = limit.theta / limit.omega
     integral = limit_nondegeneracy_integral(coeffs.c0, model.grid.length, 0)
     crossing = limit_transversality_real(coeffs, model.grid, 0)

@@ -1,6 +1,7 @@
 """Grid quadrature, nonlinearity derivatives, coefficient values, model data."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,8 +255,8 @@ class TestModelParams:
         assert model.d * model.r == pytest.approx(1.0, abs=1e-15)
         assert model.tau_hat == pytest.approx(model.r * model.tau, abs=1e-15)
 
-    def test_with_r(self, fig2_model):
-        other = fig2_model.with_r(0.5, tau=1.0)
+    def test_replace_r_and_tau(self, fig2_model):
+        other = replace(fig2_model, r=0.5, tau=1.0)
         assert other.r == 0.5
         assert other.tau == 1.0
         assert other.coeffs is fig2_model.coeffs
@@ -281,10 +282,10 @@ class TestModelParams:
         changes = {"r": value} if key == "r" else {"r": 1.0, "tau": value}
         with pytest.raises(ValueError,
                            match=f"^{key} must be nonnegative and finite"):
-            fig2_model.with_r(**changes)
+            replace(fig2_model, **changes)
 
     def test_zero_r_and_tau_are_accepted(self, fig2_model):
-        model = fig2_model.with_r(0.0, tau=0.0)
+        model = replace(fig2_model, r=0.0, tau=0.0)
         assert (model.r, model.tau, model.d) == (0.0, 0.0, math.inf)
 
     @pytest.mark.parametrize("harmonic", [0, 1, 2])

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,9 +66,11 @@ class TestClosedForms:
                                                  abs=1e-12)
 
     def test_no_hopf_below_two(self):
-        with pytest.raises(NoHopfError, match="stable for every delay"):
+        with pytest.raises(NoHopfError, match=r"^c0 = 1\.5000 < 2, steady "
+                           "state stable for all delays$"):
             limit_phase(1.5)
-        with pytest.raises(NoHopfError, match="no positive steady state"):
+        with pytest.raises(NoHopfError, match=r"^c0 = -0\.5000 <= 0, no "
+                           "positive steady state exists$"):
             limit_phase(-0.5)
 
 
@@ -92,7 +95,7 @@ class TestMeanZeroPoisson:
         assert np.abs(z).max() < 1e-12
 
     def test_limit_eigenfield_is_mean_zero(self, fig2_model):
-        limit = continue_hopf(fig2_model.with_r(0.0))
+        limit = continue_hopf(replace(fig2_model, r=0.0))
         grid = fig2_model.grid
         scale = np.abs(limit.z).max()
         assert abs(grid.integrate(limit.z)) < 1e-10 * max(scale, 1.0)
@@ -202,7 +205,7 @@ class TestBorderedSolve:
 
 class TestContinuation:
     def test_r_zero_returns_limit(self, fig2_model):
-        sol = continue_hopf(fig2_model.with_r(0.0))
+        sol = continue_hopf(replace(fig2_model, r=0.0))
         assert sol.r == 0.0
         assert sol.beta == 1.0
         assert sol.theta == pytest.approx(limit_phase(fig2_model.coeffs.c0),
@@ -246,9 +249,9 @@ class TestContinuation:
     def test_rejects_bad_targets(self, fig2_model):
         # a negative r is refused by the model itself, before any solve
         with pytest.raises(ValueError, match="negative"):
-            continue_hopf(fig2_model.with_r(-0.1))
+            continue_hopf(replace(fig2_model, r=-0.1))
         with pytest.raises(ValueError, match="r_cap"):
-            continue_hopf(fig2_model.with_r(2.0))
+            continue_hopf(replace(fig2_model, r=2.0))
 
     @pytest.mark.parametrize("r_target, r_cap, message", [
         pytest.param(math.nan, 0.5, "r must be nonnegative and finite",
@@ -257,11 +260,11 @@ class TestContinuation:
     ])
     def test_rejects_nan(self, fig2_model, r_target, r_cap, message):
         with pytest.raises(ValueError, match=message):
-            continue_hopf(fig2_model.with_r(r_target), r_cap=r_cap)
+            continue_hopf(replace(fig2_model, r=r_target), r_cap=r_cap)
 
     def test_no_hopf_for_fig1(self, fig1_model):
         with pytest.raises(NoHopfError):
-            continue_hopf(fig1_model.with_r(1e-2))
+            continue_hopf(replace(fig1_model, r=1e-2))
 
     def test_conjugate_root_is_normalized(self):
         # out of the small-r regime (r L^2 = 341) Newton from the limit
@@ -301,8 +304,9 @@ class TestStepReference:
     def test_one_solve_matches_the_walk(self, p, delta):
         model = spec_model(p, delta, Grid1D(length=3.0, n_points=201), r=0.5)
         for r in (0.05, 0.1, 0.25, 0.5):
-            sol = continue_hopf(model.with_r(r))
-            u, z, beta, omega, theta = oracles.stepped_crossing(model.with_r(r))
+            sol = continue_hopf(replace(model, r=r))
+            u, z, beta, omega, theta = oracles.stepped_crossing(
+                replace(model, r=r))
             assert beta > 0 and omega > 0
             for ours, walked in ((sol.u, u), (sol.z, z)):
                 scale = np.abs(walked).max()
@@ -390,7 +394,7 @@ class TestStoppingRule:
 
         monkeypatch.setattr(hopf_module, "solve_steady_state", steady)
         monkeypatch.setattr(hopf_module, "_hopf_newton", newton)
-        continue_hopf(fig2_model.with_r(r_target))
+        continue_hopf(replace(fig2_model, r=r_target))
         assert seen["steady"] == [(r, (), {}) for r in visited]
         assert seen["hopf"] == visited
 
@@ -429,7 +433,7 @@ class TestThresholds:
             assert sol.tau_hat_n(n) == (sol.theta + TWO_PI * n) / sol.omega
 
     def test_limit_keeps_only_the_unnormalized_ladder(self, fig2_model):
-        limit = continue_hopf(fig2_model.with_r(0.0))
+        limit = continue_hopf(replace(fig2_model, r=0.0))
         c0 = fig2_model.coeffs.c0
         omega0 = fig2_model.coeffs.delta_bar * math.sqrt(c0 * c0 - 2.0 * c0)
         assert limit.tau_hat_n(0) == limit_phase(c0) / omega0

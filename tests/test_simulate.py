@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +24,11 @@ from nicholson.simulate import (
     PeriodEstimate,
     SimulationTrace,
     _local_maxima,
-    _snap_step,
     default_history,
     estimate_period,
     simulate_average_dde,
     simulate_pde,
+    snap_step,
     write_snapshot_csv,
     write_spacetime_csv,
     write_trace_csv,
@@ -148,8 +149,7 @@ class TestPdeEquilibrium:
 
     def test_positivity_preserved(self):
         grid = Grid1D(length=3.0, n_points=201)
-        base = figure_model("fig2", grid, r=10.0)
-        model = base.with_r(10.0, tau=0.2)
+        model = figure_model("fig2", grid, r=10.0, tau=0.2)
         trace = simulate_pde(model, t_end=60.0, snapshot_stride=500)
         assert np.all(trace.mean_series > 0)
         for _, snap in trace.snapshots:
@@ -159,8 +159,7 @@ class TestPdeEquilibrium:
 class TestPdeOscillation:
     def test_fig2_large_delay_oscillates(self):
         grid = Grid1D(length=3.0, n_points=201)
-        base = figure_model("fig2", grid, r=10.0)
-        model = base.with_r(10.0, tau=0.2)
+        model = figure_model("fig2", grid, r=10.0, tau=0.2)
         trace = simulate_pde(model, t_end=300.0)
         est = estimate_period(trace)
         assert est.oscillating
@@ -180,7 +179,7 @@ class TestPdeOscillation:
 
     def test_dt_refinement_consistency(self):
         grid = Grid1D(length=3.0, n_points=101)
-        model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=0.2)
+        model = figure_model("fig2", grid, r=10.0, tau=0.2)
         coarse = simulate_pde(model, t_end=40.0, dt=1e-2)
         fine = simulate_pde(model, t_end=40.0, dt=5e-3)
         rel = abs(coarse.mean_series[-1] - fine.mean_series[-1]) / abs(
@@ -209,7 +208,7 @@ class TestPdeInterface:
 
     def test_dt_snaps_to_delay(self):
         grid = Grid1D(length=3.0, n_points=101)
-        model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=0.2)
+        model = figure_model("fig2", grid, r=10.0, tau=0.2)
         trace = simulate_pde(model, t_end=10.0, dt=3e-3)
         n_delay = round(trace.tau_hat / trace.dt)
         assert n_delay * trace.dt == pytest.approx(trace.tau_hat, rel=1e-14)
@@ -218,9 +217,9 @@ class TestPdeInterface:
     def test_delay_below_half_step_rejected(self, delay):
         # snapping dt down to a 1e-9 delay would take 1e10 steps
         with pytest.raises(ValueError, match="below dt/2"):
-            _snap_step(delay, 3e-3, 10.0)
+            snap_step(delay, 3e-3, 10.0)
         grid = Grid1D(length=3.0, n_points=11)
-        model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=delay / 10)
+        model = figure_model("fig2", grid, r=10.0, tau=delay / 10)
         with pytest.raises(ValueError, match="below dt/2"):
             simulate_pde(model, t_end=10.0, dt=3e-3)
         with pytest.raises(ValueError, match="below dt/2"):
@@ -230,7 +229,7 @@ class TestPdeInterface:
     def test_delay_of_half_step_or_more_snaps(self):
         # round(0.5) is 0, and a delay of exactly dt/2 becomes one step
         for delay in (0.5 * 3e-3, 0.6 * 3e-3):
-            assert _snap_step(delay, 3e-3, 0.3)[:2] == (delay, 1)
+            assert snap_step(delay, 3e-3, 0.3)[:2] == (delay, 1)
         trace = simulate_average_dde(math.exp(3.0), 1.0, 2.5, 0.6 * 3e-3,
                                      t_end=0.3, dt=3e-3)
         assert trace.dt == 0.6 * 3e-3
@@ -282,7 +281,7 @@ class TestPdeInterface:
         # an enormous step with a sizeable delay destabilizes the explicit
         # reaction update and must be reported, not returned as garbage
         grid = Grid1D(length=3.0, n_points=101)
-        model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=0.2)
+        model = figure_model("fig2", grid, r=10.0, tau=0.2)
         monkeypatch.setattr(simulate_module, "_BLOWUP_THRESHOLD", 1e6)
         with pytest.raises(BlowUpError) as info:
             simulate_pde(model, t_end=4000.0, dt=2.0)
@@ -294,7 +293,7 @@ def reference_pde(model, history, t_end, dt, snapshot_stride=None,
     """One Crank-Nicolson step at a time: a sparse matvec, a SuperLU solve
     and a deque of the last n_delay + 1 fields.  Returns the means and the
     snapshots."""
-    dt, n_delay, n_steps = _snap_step(model.tau_hat, dt, t_end)
+    dt, n_delay, n_steps = snap_step(model.tau_hat, dt, t_end)
     grid, n = model.grid, model.grid.n_points
     half = 0.5 * dt * model.d
     lap = sparse_laplacian(grid.laplacian)
@@ -324,7 +323,7 @@ def reference_pde(model, history, t_end, dt, snapshot_stride=None,
 
 def reference_dde(p_bar, delta_bar, a, tau, history, t_end, dt):
     """Forward Euler one step at a time with a deque of delayed values."""
-    dt, n_delay, n_steps = _snap_step(tau, dt, t_end)
+    dt, n_delay, n_steps = snap_step(tau, dt, t_end)
     buffer = deque([history(-k * dt) for k in range(n_delay, -1, -1)],
                    maxlen=n_delay + 1)
     values = [buffer[-1]]
@@ -352,8 +351,7 @@ class TestBlockMarchMatchesReference:
     ])
     def test_pde(self, n_delay, n_steps):
         grid = Grid1D(3.0, 41)
-        model = figure_model("fig2", grid, r=10.0).with_r(
-            10.0, tau=n_delay * self.DT / 10.0)
+        model = figure_model("fig2", grid, r=10.0, tau=n_delay * self.DT / 10.0)
 
         def history(x, t):
             return (1.0 + 0.1 * np.cos(x)) * (2.0 + 0.1 * t)
@@ -389,8 +387,7 @@ class TestBlockMarchMatchesReference:
         # after the ring of 201 states has wrapped once
         dt, n_delay = 0.68, _CHUNK + 72
         grid = Grid1D(3.0, 41)
-        model = figure_model("fig2", grid, r=10.0).with_r(
-            10.0, tau=n_delay * dt / 10.0)
+        model = figure_model("fig2", grid, r=10.0, tau=n_delay * dt / 10.0)
         with pytest.raises(BlowUpError) as expected:
             reference_pde(model, lambda x, t: 1.0, 400 * dt, dt,
                           blowup_threshold=1e6)
@@ -412,7 +409,7 @@ class TestBlockMarchMatchesReference:
                                               threshold, step):
         # at zero delay advance evaluates each step's births itself
         grid = Grid1D(3.0, 41)
-        model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=0.0)
+        model = figure_model("fig2", grid, r=10.0, tau=0.0)
         with pytest.raises(BlowUpError) as expected:
             reference_pde(model, lambda x, t: history, 400 * dt, dt,
                           blowup_threshold=threshold)
@@ -429,7 +426,7 @@ def test_long_delay_memory_is_bounded():
     # 2000 delay steps at n = 201: a 3.2 MB ring; blocks of births keep the
     # transient memory independent of the delay
     grid = Grid1D(3.0, 201)
-    model = figure_model("fig2", grid, r=10.0).with_r(10.0, tau=1.0)
+    model = figure_model("fig2", grid, r=10.0, tau=1.0)
     tracemalloc.start()
     try:
         trace = simulate_pde(model, history=1.0, t_end=25.0)
@@ -543,7 +540,7 @@ class TestAverageDdeIsConstantPde:
     def test_mean_series_matches(self, tau_hat):
         grid = Grid1D(3.0, 11)
         model = constant_model(2.7, grid, r=10.0, delta_bar=2.0)
-        model = model.with_r(10.0, tau=tau_hat / 10.0)
+        model = replace(model, tau=tau_hat / 10.0)
         pde = simulate_pde(model, history=1.0, t_end=100.0, dt=5e-3)
         coeffs = model.coeffs
         dde = simulate_average_dde(coeffs.p_bar, coeffs.delta_bar, model.a,
@@ -572,7 +569,7 @@ class TestCallableHistory:
     @pytest.fixture
     def delayed_model(self):
         grid = Grid1D(length=3.0, n_points=41)
-        return figure_model("fig2", grid, r=10.0).with_r(10.0, tau=0.1)
+        return figure_model("fig2", grid, r=10.0, tau=0.1)
 
     def test_pde_constant_callable_is_constant(self, delayed_model):
         plain = simulate_pde(delayed_model, history=1.2, t_end=20.0,

@@ -1,6 +1,7 @@
 """Steady-state solver: exactness, asymptotics, uniqueness, convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ class TestFigureCases:
         c0 = fig2_model.coeffs.c0
         assert np.abs(steady.u - c0).max() < 1e-3
         coarse = np.abs(steady.u - c0).max()
-        finer = solve_steady_state(fig2_model.with_r(1e-4))
+        finer = solve_steady_state(replace(fig2_model, r=1e-4))
         assert np.abs(finer.u - c0).max() < 0.2 * coarse
 
     def test_uniqueness_from_spread_out_starts(self, fig1_model):
@@ -274,13 +275,13 @@ class TestErrorPaths:
         x = fig2_model.grid.nodes
         curved = 1.0 + 0.5 * np.cos(np.pi * x / fig2_model.grid.length)
         with pytest.raises(NewtonConvergenceError, match="singular"):
-            steady_module._newton(fig2_model.with_r(1e-20), curved)
-        steady = solve_steady_state(fig2_model.with_r(1e-20))
+            steady_module._newton(replace(fig2_model, r=1e-20), curved)
+        steady = solve_steady_state(replace(fig2_model, r=1e-20))
         assert np.all(steady.u == fig2_model.coeffs.c0)
 
     def test_rejects_nonpositive_r(self, fig1_model):
         with pytest.raises(ValueError, match="r"):
-            solve_steady_state(fig1_model.with_r(0.0))
+            solve_steady_state(replace(fig1_model, r=0.0))
 
     def test_rejects_nonpositive_c0(self):
         grid = Grid1D(length=1.0, n_points=21)

@@ -6,7 +6,8 @@
 ``run`` calls ``nicholson.cli.main`` in this process for every run of the
 matrix, each into its own directory under DIR, which must not exist yet,
 with its config file next to it as ``<run>.cfg`` and every exit code in
-``exit_codes.txt``.  The package is imported from ``SRC`` (default:
+``exit_codes.txt``; a run that stops before any output leaves only its
+config and its exit code.  The package is imported from ``SRC`` (default:
 ``src/`` of this checkout), so the same matrix can be run on another tree,
 such as a parent commit.  The configs come from ``perfbench.workloads``,
 read only:
@@ -19,6 +20,9 @@ read only:
   r = 0.5..0.001, and ``simulate`` (with
   snapshots) and ``average-dde`` at 0, 0.95 and 1.05 ``tau_hat_0``, the
   threshold of that ``hopf`` run;
+- fig. 2 ``simulate`` with a delay below dt/2, refused with exit code 1;
+- the NoHopf verdict: fig. 1 (c0 = 1.288) ``hopf``, ``normalform`` and
+  ``sweep``, and ``hopf`` with c0 < 0 (p = 1, delta = 2);
 - benchmark seeds 1 and 2: ``steady``, ``hopf`` and ``normalform`` at
   n = 201, 1201 and 4801, and the benchmark's ``sweep``;
 - fig. 2 and benchmark seed 1: ``hopf`` and ``normalform`` at r = 0.5 on
@@ -79,17 +83,18 @@ NUMBER = re.compile(
 
 
 def run(out_dir: Path, src: Path = ROOT / "src") -> int:
-    """Run the matrix into ``out_dir``; returns how many runs exited nonzero."""
+    """Run the matrix into ``out_dir``; returns how many runs exited with
+    another code than the one expected."""
     sys.path[:0] = [str(src), str(ROOT)]
     cli = importlib.import_module("nicholson.cli")
     config = importlib.import_module("nicholson.config")
     workloads = importlib.import_module("perfbench.workloads")
     figure2 = workloads.Coefficients(phase=0.0, amplitude=1.0)
     out_dir.mkdir(parents=True)  # a fresh directory: diff reads every file
-    codes = []
+    codes = []  # (run id, exit code, expected exit code)
 
     def once(run_id: str, task: str, config: str | None = None,
-             extra: tuple = ()) -> Path:
+             extra: tuple = (), expect: int = 0) -> Path:
         target = out_dir / run_id
         argv = [task, *extra, "--out", str(target)]
         if config is not None:
@@ -98,7 +103,7 @@ def run(out_dir: Path, src: Path = ROOT / "src") -> int:
             argv += ["--config", str(path)]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            codes.append(f"{run_id} {cli.main(argv)}")
+            codes.append((run_id, cli.main(argv), expect))
         return target
 
     for figure in ("fig1", "fig2"):
@@ -129,6 +134,17 @@ def run(out_dir: Path, src: Path = ROOT / "src") -> int:
                   snapshot_stride=400))
         once(f"fig2-average-dde-{factor:g}", "average-dde",
              fig2("average-dde", tau_check=f"{tau_hat:.12g}", t_end=SIM_T_END))
+    once("fig2-simulate-below-half-step", "simulate",
+         fig2("simulate", tau_hat=1e-3), expect=1)
+    fig1_p = "p = 10 + 1*sin(1*x + 0)\n"
+    for task, options in (("hopf", {"n_max": 3}), ("normalform", {"n_max": 3}),
+                          ("sweep", {"r_list": FIG2_R_LIST})):
+        once(f"fig1-{task}", task,
+             fig2(task, **options).replace(f"p = {figure2.p_text}\n", fig1_p))
+    once("negative-c0-hopf", "hopf",
+         fig2("hopf", n_max=3)
+         .replace(f"p = {figure2.p_text}\n", "p = 1\n")
+         .replace(f"delta = {figure2.delta_text}\n", "delta = 2\n"))
 
     r_list = ",".join(f"{r:g}" for r in workloads.SWEEP_R_LIST)
     for seed in SEEDS:
@@ -149,8 +165,10 @@ def run(out_dir: Path, src: Path = ROOT / "src") -> int:
     once("long-steady", "steady", LONG_DOMAIN.format(task="steady"))
     for task in ("hopf", "normalform"):
         once(f"long-{task}", task, LONG_DOMAIN.format(task=task) + "n_max = 3\n")
-    (out_dir / EXIT_CODES).write_text("\n".join(codes) + "\n", encoding="utf-8")
-    return sum(not line.endswith(" 0") for line in codes)
+    (out_dir / EXIT_CODES).write_text(
+        "".join(f"{run_id} {code}\n" for run_id, code, _ in codes),
+        encoding="utf-8")
+    return sum(code != expect for _, code, expect in codes)
 
 
 def _summary(run_dir: Path) -> dict:
@@ -274,7 +292,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         failures = run(args.dir, args.src)
-        print(f"{failures} runs exited nonzero; see {args.dir / EXIT_CODES}")
+        print(f"{failures} runs exited with an unexpected code; see "
+              f"{args.dir / EXIT_CODES}")
         return 1 if failures else 0
     return diff(args.a, args.b)
 
